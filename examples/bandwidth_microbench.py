@@ -11,7 +11,8 @@ Run:  python examples/bandwidth_microbench.py
 """
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import ModelSpec, sweep
+from repro.core.models import ModelSpec
+from repro.exp import run_grid
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 from repro.workloads.microbench import BandwidthMicrobench
 
@@ -28,7 +29,8 @@ MODELS = [
 def main() -> None:
     for threads in (1, 2, 4):
         config = MachineConfig(num_cores=threads)
-        result = sweep([BandwidthMicrobench], MODELS, config, ops_per_thread=OPS)
+        result = run_grid([BandwidthMicrobench], MODELS, config,
+                          ops_per_thread=OPS)
         total_bytes = BandwidthMicrobench(ops_per_thread=OPS).bytes_written(threads)
         rows = []
         for model in ("baseline", "hops", "asap"):

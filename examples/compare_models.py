@@ -12,7 +12,8 @@ Run:  python examples/compare_models.py [workload] [ops_per_thread]
 import sys
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import STANDARD_MODELS, sweep
+from repro.core.models import STANDARD_MODELS
+from repro.exp import run_grid
 from repro.sim.config import MachineConfig
 from repro.workloads import get_workload
 
@@ -23,7 +24,8 @@ def main() -> None:
     workload_cls = type(get_workload(name))
 
     config = MachineConfig(num_cores=4)
-    result = sweep([workload_cls], STANDARD_MODELS, config, ops_per_thread=ops)
+    result = run_grid([workload_cls], STANDARD_MODELS, config,
+                      ops_per_thread=ops)
 
     rows = []
     for model in [m.name for m in STANDARD_MODELS]:

@@ -15,7 +15,8 @@ Run:  python examples/concurrent_hashtable.py
 """
 
 from repro.analysis.report import render_table
-from repro.analysis.sweeps import ModelSpec, sweep
+from repro.core.models import ModelSpec
+from repro.exp import run_grid
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 from repro.workloads.cceh import CCEH
 
@@ -33,7 +34,7 @@ def main() -> None:
     rows = []
     for threads in (1, 2, 4, 8):
         config = MachineConfig(num_cores=threads)
-        result = sweep([CCEH], MODELS, config, ops_per_thread=OPS)
+        result = run_grid([CCEH], MODELS, config, ops_per_thread=OPS)
         deps = result.stat("cceh", "asap", "interTEpochConflict")
         throughput = {
             model: threads * OPS / result.runtime("cceh", model)

@@ -1,12 +1,10 @@
-"""Analysis utilities: hardware-cost models and experiment drivers.
+"""Analysis utilities: hardware-cost models and result rendering.
+
+Experiment grids are run by :func:`repro.exp.run_grid`.
 
 - :mod:`repro.analysis.cacti`  -- analytical CAM/SRAM cost model
   calibrated to the paper's CACTI 7 @ 22 nm numbers (Table V) plus the
   draining-energy comparison of Section VII-D.
-- :mod:`repro.analysis.sweeps` -- compatibility shim over the
-  :mod:`repro.exp` experiment engine (plans, parallel executors,
-  deterministic result caching); keeps the historical ``sweep()`` entry
-  point and model-table re-exports working.
 - :mod:`repro.analysis.report` -- plain-text table/series rendering used
   by the benchmarks and EXPERIMENTS.md.
 """
@@ -18,17 +16,12 @@ from repro.analysis.cacti import (
     table_v,
 )
 from repro.analysis.report import render_series, render_table
-from repro.analysis.sweeps import ModelSpec, STANDARD_MODELS, SweepResult, sweep
 
 __all__ = [
     "DrainingCost",
     "HardwareCost",
-    "ModelSpec",
-    "STANDARD_MODELS",
-    "SweepResult",
     "draining_comparison",
     "render_series",
     "render_table",
-    "sweep",
     "table_v",
 ]

@@ -10,14 +10,13 @@ PRNG) exactly; the machine state itself comes from the snapshot.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.api import PMAllocator, Program
 from repro.core.machine import Machine, RunResult
 from repro.core.models import ModelSpec, resolve_model
+from repro.exp.spec import digest
 from repro.sim.config import MachineConfig, RunConfig
 from repro.workloads.registry import get_workload
 
@@ -129,8 +128,7 @@ def run_fingerprint(machine: Machine, result: RunResult) -> str:
         "runtime_cycles": result.runtime_cycles,
         "ops_executed": result.ops_executed,
     }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest(doc)
 
 
 def describe_checkpoint(

@@ -26,7 +26,6 @@ from repro.crashtest.campaign import (
     CrashPointResult,
     CrashPointSpec,
     adjudicate,
-    execute_crash_point,
     replay_failure,
     run_campaign,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "derive_rng",
     "dumps_state",
     "enumerate_crash_points",
-    "execute_crash_point",
     "load_state",
     "loads_state",
     "minimize_failure",

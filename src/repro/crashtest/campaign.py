@@ -10,12 +10,12 @@ each re-simulated from scratch, crashed with
 - the workload's semantic ``recovery_oracle()``
   (:meth:`repro.workloads.base.Workload.recovery_oracle`).
 
-Crash points fan out over the :mod:`repro.exp` process-pool executor and
-cache exactly like experiment cells: a :class:`CrashPointSpec` is
-content-addressed, its :class:`CrashPointResult` is a small picklable
-record.  On a violation the campaign minimizes the failure
-(:mod:`repro.crashtest.minimize`) and serializes a replayable
-:class:`~repro.core.crash.CrashState`.
+Crash points fan out and cache exactly like experiment cells: a
+:class:`CrashPointSpec` is a :class:`~repro.exp.spec.RunSpec` plus a
+crash cycle, run through :func:`~repro.exp.spec.run_specs`, and its
+:class:`CrashPointResult` is a small picklable record.  On a violation
+the campaign minimizes the failure (:mod:`repro.crashtest.minimize`)
+and serializes a replayable :class:`~repro.core.crash.CrashState`.
 
 Reports are **canonical**: same spec + same seed = byte-identical
 ``to_dict()`` JSON, whether results came fresh, from the cache, or from
@@ -24,8 +24,6 @@ a different worker count.  Nothing wall-clock-dependent is recorded.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -35,9 +33,9 @@ from repro.core.api import PMAllocator
 from repro.core.crash import CrashState, run_and_crash
 from repro.core.models import RP_MODELS, ModelSpec, resolve_model
 from repro.exp.executors import make_executor
-from repro.exp.spec import _jsonable
+from repro.exp.spec import RunSpec, jsonable, run_specs
 from repro.obs.events import Event, EventType
-from repro.sim.config import MachineConfig, RunConfig
+from repro.sim.config import MachineConfig
 from repro.verify.consistency import check_consistency
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
@@ -75,16 +73,11 @@ def adjudicate(state: CrashState, workload: Workload) -> Tuple[List[str], List[s
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CrashPointSpec:
-    """One fully-specified fault injection: a cell plus a crash cycle."""
+class CrashPointSpec(RunSpec):
+    """One fully-specified fault injection: a :class:`RunSpec` cell plus
+    the cycle at which it crashes."""
 
-    workload: str
-    model: ModelSpec
-    crash_cycle: int
-    machine: MachineConfig = dataclasses.field(default_factory=MachineConfig)
-    ops_per_thread: Optional[int] = None
-    num_threads: Optional[int] = None
-    seed: int = 7
+    crash_cycle: int = 0
 
     def __init__(
         self,
@@ -96,24 +89,11 @@ class CrashPointSpec:
         num_threads: Optional[int] = None,
         seed: int = 7,
     ) -> None:
-        get_workload(workload)  # raises KeyError with available names
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "model", resolve_model(model))
-        object.__setattr__(self, "crash_cycle", int(crash_cycle))
-        object.__setattr__(self, "machine", machine or MachineConfig())
-        object.__setattr__(self, "ops_per_thread", ops_per_thread)
-        object.__setattr__(self, "num_threads", num_threads)
-        object.__setattr__(self, "seed", seed)
-
-    # -- construction -------------------------------------------------------
-
-    def build_workload(self) -> Workload:
-        return get_workload(
-            self.workload, ops_per_thread=self.ops_per_thread, seed=self.seed
+        super().__init__(
+            workload, model, machine=machine, ops_per_thread=ops_per_thread,
+            num_threads=num_threads, seed=seed,
         )
-
-    def run_config(self) -> RunConfig:
-        return self.model.run_config(seed=self.seed)
+        object.__setattr__(self, "crash_cycle", int(crash_cycle))
 
     def simulate(self, crash_cycle: Optional[int] = None) -> CrashState:
         """Fresh run of this cell, crashed at ``crash_cycle``."""
@@ -166,28 +146,15 @@ class CrashPointSpec:
         )
         return crash_machine(machine)
 
-    # -- identity (cache contract, mirrors exp.RunSpec) ---------------------
+    # -- identity -----------------------------------------------------------
 
     def describe(self) -> dict:
         return {
+            **super().describe(),
             "schema": CRASHTEST_SCHEMA_VERSION,
             "kind": "crashtest-point",
-            "workload": self.workload,
-            "hardware": self.model.hardware.value,
-            "persistency": self.model.persistency.value,
-            "machine": _jsonable(self.machine),
-            "run_config": _jsonable(self.run_config()),
             "crash_cycle": self.crash_cycle,
-            "ops_per_thread": self.ops_per_thread,
-            "num_threads": self.num_threads,
-            "seed": self.seed,
         }
-
-    def key(self) -> str:
-        payload = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def label(self) -> str:
         return (
@@ -232,11 +199,6 @@ class CrashPointResult:
             "surviving_lines": self.surviving_lines,
             "writes_logged": self.writes_logged,
         }
-
-
-def execute_crash_point(spec: CrashPointSpec) -> CrashPointResult:
-    """Module-level trampoline so executors can ship specs to workers."""
-    return spec.execute()
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +343,7 @@ def run_campaign(
                 "workload": name,
                 "hardware": model.hardware.value,
                 "persistency": model.persistency.value,
-                "machine": _jsonable(machine),
+                "machine": jsonable(machine),
                 "ops_per_thread": ops_per_thread,
                 "num_threads": num_threads,
                 "seed": seed,
@@ -399,32 +361,24 @@ def run_campaign(
                 for cycle in cycles
             ]
 
-    # phase 2: cache lookups, then one fan-out over every pending spec
+    # phase 2: cache hits, then one fan-out over every missing point
     all_specs = [s for specs in specs_by_cell.values() for s in specs]
-    results: Dict[str, CrashPointResult] = {}
-    pending: List[CrashPointSpec] = []
-    for spec in all_specs:
-        cached = cache.get(spec) if cache is not None else None
-        if cached is not None:
-            results[spec.key()] = cached
-        else:
-            pending.append(spec)
-    executor = executor or make_executor(jobs)
-    for spec, result in zip(pending, executor.map(execute_crash_point, pending)):
-        results[spec.key()] = result
-        if cache is not None:
-            cache.put(spec, result)
+    results, hits = run_specs(
+        all_specs, executor or make_executor(jobs), cache
+    )
 
     # phase 3: assemble cells, emit events, minimize failures
     report = CampaignReport(
         cells=[],
         points_requested=points,
         seed=seed,
-        cache_hits=len(all_specs) - len(pending),
-        cache_misses=len(pending),
+        cache_hits=hits,
+        cache_misses=len(all_specs) - hits,
     )
+    offset = 0
     for (name, model_name), specs in specs_by_cell.items():
-        cell_results = [results[s.key()] for s in specs]
+        cell_results = results[offset:offset + len(specs)]
+        offset += len(specs)
         _emit_events(sinks, name, model_name, cell_results)
         cell = CellReport(
             workload=name,
@@ -601,7 +555,6 @@ __all__ = [
     "CrashPointResult",
     "CrashPointSpec",
     "adjudicate",
-    "execute_crash_point",
     "replay_failure",
     "run_campaign",
 ]

@@ -20,14 +20,13 @@ cycles -- a requirement for result caching and byte-identical reports.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.api import Op
 from repro.core.machine import Machine
+from repro.exp.spec import digest
 from repro.obs.events import Event, EventType
 from repro.sim.config import MachineConfig, RunConfig
 from repro.workloads.base import Workload, run_workload
@@ -105,9 +104,7 @@ def derive_rng(identity: dict) -> random.Random:
     Never uses Python's ``hash()`` (randomized across processes); the
     seed is a content hash, so every process and every run agrees.
     """
-    payload = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return random.Random(int(digest[:16], 16))
+    return random.Random(int(digest(identity)[:16], 16))
 
 
 def stratified_cycles(horizon: int, count: int, rng: random.Random) -> List[int]:

@@ -4,12 +4,14 @@ Everything that runs a *grid* of simulations (the CLI's ``compare``,
 every figure benchmark, ``scripts/reproduce_results.py``) goes through
 this package:
 
+- :class:`Spec` / :func:`run_specs` (:mod:`repro.exp.spec`) -- the one
+  spec path: every cached or fanned-out unit of work is a ``Spec``
+  keyed by :func:`digest` of its ``describe()``, and ``run_specs``
+  serves cache hits and maps only the misses through an executor.
 - :class:`RunSpec` (:mod:`repro.exp.spec`) -- one fully-specified cell:
-  workload, model, machine, knobs, seed.  Content-hashable and
-  picklable.
+  workload, model, machine, knobs, seed.
 - :class:`ExperimentPlan` / :func:`run_plan` (:mod:`repro.exp.plan`) --
-  expand a grid into cells and execute them through a pluggable
-  executor, consulting the cache first.
+  expand a grid into cells and run them through ``run_specs``.
 - :class:`SerialExecutor` / :class:`ParallelExecutor`
   (:mod:`repro.exp.executors`) -- in-process or ``--jobs N`` process
   fan-out; identical results either way.
@@ -19,7 +21,7 @@ this package:
   :class:`SweepResult` with the figures' normalization helpers.
 """
 
-from repro.exp.cache import ResultCache, SupportsKey
+from repro.exp.cache import ResultCache
 from repro.exp.executors import (
     Executor,
     ParallelExecutor,
@@ -34,7 +36,7 @@ from repro.exp.plan import (
     run_grid,
     run_plan,
 )
-from repro.exp.spec import RunSpec, execute_spec
+from repro.exp.spec import RunSpec, Spec, digest, execute_spec, run_specs
 
 __all__ = [
     "Executor",
@@ -44,11 +46,13 @@ __all__ = [
     "ResultCache",
     "RunSpec",
     "SerialExecutor",
-    "SupportsKey",
+    "Spec",
     "SweepResult",
     "WorkerDiedError",
+    "digest",
     "execute_spec",
     "make_executor",
     "run_grid",
     "run_plan",
+    "run_specs",
 ]

@@ -1,12 +1,13 @@
 """Deterministic on-disk result cache.
 
 Results are stored content-addressed: the filename is the
-:meth:`~repro.exp.spec.RunSpec.key` SHA-256 of the spec, so a cache
+:meth:`~repro.exp.spec.Spec.key` SHA-256 of the spec, so a cache
 entry can never be served for a spec it does not exactly match (any
 change to the machine config, model, workload, knobs, or seed changes
-the key).  Each entry is the pickled :class:`~repro.workloads.base.
-WorkloadResult` plus a human-readable ``.json`` sidecar describing the
-spec that produced it.
+the key).  Each entry is the pickled result plus a human-readable
+``.json`` sidecar describing the spec that produced it.  Every spec type
+keys the same way, so one directory can hold grid cells, crash points
+and litmus cells alike -- the fabric uses it as its shared store.
 
 Writes are atomic (tmp file + ``os.replace``), so concurrent workers
 and concurrent *processes* may share one cache directory: the worst
@@ -25,23 +26,10 @@ import os
 import pathlib
 import pickle
 import tempfile
-from typing import Any, Dict, Optional, Protocol, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-
-class SupportsKey(Protocol):
-    """Any content-hashable spec the cache can store results under.
-
-    :class:`~repro.exp.spec.RunSpec`, :class:`~repro.crashtest.campaign.
-    CrashPointSpec` and :class:`~repro.litmus.spec.LitmusSpec` all
-    satisfy this, which is what lets one cache directory act as the
-    fabric's shared store across every task kind.
-    """
-
-    def key(self) -> str: ...
-
-    def describe(self) -> Dict[str, Any]: ...
-
-    def label(self) -> str: ...
+if TYPE_CHECKING:
+    from repro.exp.spec import Spec
 
 
 class ResultCache:
@@ -61,7 +49,7 @@ class ResultCache:
     def _meta_path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
 
-    def __contains__(self, spec: SupportsKey) -> bool:
+    def __contains__(self, spec: Spec) -> bool:
         return self._result_path(spec.key()).exists()
 
     def __len__(self) -> int:
@@ -69,7 +57,7 @@ class ResultCache:
 
     # -- access -------------------------------------------------------------
 
-    def get(self, spec: SupportsKey) -> Optional[Any]:
+    def get(self, spec: Spec) -> Optional[Any]:
         """Return the cached result for ``spec``, or None on a miss.
 
         A corrupt/truncated entry (e.g. a killed writer on a filesystem
@@ -92,7 +80,7 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def put(self, spec: SupportsKey, result: Any) -> None:
+    def put(self, spec: Spec, result: Any) -> None:
         key = spec.key()
         self._atomic_write(
             self._result_path(key), pickle.dumps(result, protocol=4)
@@ -127,4 +115,4 @@ class ResultCache:
         return removed
 
 
-__all__ = ["ResultCache", "SupportsKey"]
+__all__ = ["ResultCache"]

@@ -13,8 +13,6 @@ The lifecycle every driver (CLI ``compare``, the figure benchmarks,
 3. :class:`SweepResult` aggregates (workload, model) cells with the
    normalization helpers the figures are written against (speedups,
    geomeans, stat extraction).
-
-``analysis.sweeps.sweep()`` survives as a thin shim over steps 1-3.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 from repro.core.models import ModelSpec, resolve_model
 from repro.exp.cache import ResultCache
 from repro.exp.executors import Executor, make_executor
-from repro.exp.spec import RunSpec, execute_spec
+from repro.exp.spec import RunSpec, run_specs
 from repro.sim.config import MachineConfig
 from repro.workloads.base import Workload, WorkloadResult
 
@@ -108,34 +106,14 @@ def run_plan(
     """
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    executor = executor or make_executor(jobs)
-
-    results: List[Optional[WorkloadResult]] = [None] * len(plan)
-    pending: List[Tuple[int, RunSpec]] = []
-    hits = 0
-    if cache is not None:
-        for index, spec in enumerate(plan.specs):
-            found = cache.get(spec)
-            if found is not None:
-                results[index] = found
-                hits += 1
-            else:
-                pending.append((index, spec))
-    else:
-        pending = list(enumerate(plan.specs))
-
-    if pending:
-        fresh = executor.map(execute_spec, [spec for _, spec in pending])
-        for (index, spec), result in zip(pending, fresh):
-            results[index] = result
-            if cache is not None:
-                cache.put(spec, result)
-
+    results, hits = run_specs(
+        plan.specs, executor or make_executor(jobs), cache
+    )
     return PlanResult(
         plan=plan,
-        results=results,  # type: ignore[arg-type]  # every slot is filled
+        results=results,
         cache_hits=hits,
-        cache_misses=len(pending),
+        cache_misses=len(plan) - hits,
     )
 
 

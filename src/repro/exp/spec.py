@@ -1,23 +1,26 @@
-"""Fully-specified experiment cells.
+"""Content-addressed experiment cells: the one spec path.
 
-A :class:`RunSpec` pins down everything that determines one simulation
-run: the workload (by canonical registry name), the evaluated design
-(a :class:`~repro.core.models.ModelSpec`), the machine, the per-run
-knobs, and the seed.  Two properties make the whole `repro.exp`
-subsystem work:
+Everything the experiment machinery caches or ships to a worker is a
+:class:`Spec`: a grid cell (:class:`RunSpec`), a crash point
+(:class:`repro.crashtest.campaign.CrashPointSpec`) or a litmus cell
+(:class:`repro.litmus.spec.LitmusSpec`).  Three decisions are made here
+and nowhere else:
 
-1. **Content addressability** -- :meth:`RunSpec.key` hashes every field
-   that can influence the result, so an on-disk cache entry is valid iff
-   its key matches (see :mod:`repro.exp.cache`).
-2. **Process portability** -- a spec is a frozen dataclass of plain
-   values (names, enums, frozen configs), so it pickles cleanly into a
-   ``ProcessPoolExecutor`` worker and back.
+1. **Identity** -- :func:`digest` hashes canonical JSON, and
+   :meth:`Spec.key` is the digest of :meth:`Spec.describe`, so an
+   on-disk cache entry (see :mod:`repro.exp.cache`) is valid iff its key
+   matches.
+2. **Running a list of specs** -- :func:`run_specs` serves cache hits,
+   maps only the misses through an executor and stores their results.
+3. **Dispatch** -- :func:`execute_spec` is the one module-level
+   trampoline; a spec is a frozen dataclass of plain values, so it
+   pickles into any worker process, which then needs only the source
+   tree to run it.
 
 ``RunSpec`` is *the* one way to build a run: it accepts a workload name
 or class and a model name or spec, and it threads ``seed`` /
 ``ops_per_thread`` / ``num_threads`` uniformly into both the workload
-RNG and the simulator's :class:`~repro.sim.config.RunConfig` (the old
-``sweep()`` path seeded only the workload).
+RNG and the simulator's :class:`~repro.sim.config.RunConfig`.
 """
 
 from __future__ import annotations
@@ -27,16 +30,56 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Type, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.core.models import ModelSpec, resolve_model
+from repro.exp.executors import Executor
 from repro.sim.config import MachineConfig, RunConfig
 from repro.workloads.base import Workload, WorkloadResult, run_workload
 from repro.workloads.registry import get_workload
 
+if TYPE_CHECKING:
+    from repro.exp.cache import ResultCache
+
 #: Bump whenever the simulator's semantics change in a way that
 #: invalidates previously cached results (it participates in the key).
 SPEC_SCHEMA_VERSION = 1
+
+
+def digest(doc: Any) -> str:
+    """SHA-256 hex digest of ``doc`` as canonical JSON (sorted keys, no
+    whitespace).  Never Python's ``hash()``, which varies per process."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def jsonable(value: Any) -> Any:
+    """Reduce a config value to deterministic JSON-serializable form."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in sorted(value.items())}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot key a spec containing {value!r}")
 
 
 def _resolve_workload_name(workload: Union[str, Type[Workload]]) -> str:
@@ -57,26 +100,34 @@ def _resolve_workload_name(workload: Union[str, Type[Workload]]) -> str:
     raise TypeError(f"workload must be a name or Workload class: {workload!r}")
 
 
-def _jsonable(value: Any) -> Any:
-    """Reduce a config value to deterministic JSON-serializable form."""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot key a RunSpec containing {value!r}")
+class Spec(Protocol):
+    """A content-addressed, picklable unit of work.
+
+    Spec types subclass this to inherit :meth:`key`, so a new kind of
+    cell costs one :meth:`describe` and gets caching, fabric dispatch
+    and dedupe unchanged.
+    """
+
+    def describe(self) -> Dict[str, Any]:
+        """Deterministic, JSON-serializable identity: every input that
+        can change the result, and nothing else."""
+        ...
+
+    def label(self) -> str:
+        """Short human-readable name for logs and result streams."""
+        ...
+
+    def execute(self) -> Any:
+        """Compute the result in the current process."""
+        ...
+
+    def key(self) -> str:
+        """Content hash identifying the result this spec produces."""
+        return digest(self.describe())
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Spec):
     """One fully-specified cell of an experiment grid."""
 
     workload: str
@@ -134,8 +185,8 @@ class RunSpec:
             "workload": self.workload,
             "hardware": self.model.hardware.value,
             "persistency": self.model.persistency.value,
-            "machine": _jsonable(self.machine),
-            "run_config": _jsonable(self.run_config()),
+            "machine": jsonable(self.machine),
+            "run_config": jsonable(self.run_config()),
             "ops_per_thread": self.ops_per_thread,
             "num_threads": self.num_threads,
             "seed": self.seed,
@@ -145,13 +196,6 @@ class RunSpec:
         if self.events:
             d["events"] = True
         return d
-
-    def key(self) -> str:
-        """Content hash identifying the result this spec produces."""
-        payload = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def label(self) -> str:
         return f"{self.workload}/{self.model.name}@seed{self.seed}"
@@ -187,9 +231,54 @@ class RunSpec:
         return result
 
 
-def execute_spec(spec: RunSpec) -> WorkloadResult:
-    """Module-level trampoline so executors can ship specs to workers."""
+def execute_spec(spec: Spec) -> Any:
+    """The one trampoline: executors and fabric workers run every spec
+    through this module-level function, whatever its type."""
     return spec.execute()
 
 
-__all__ = ["RunSpec", "SPEC_SCHEMA_VERSION", "execute_spec"]
+def cached_results(
+    specs: Sequence[Spec], cache: Optional[ResultCache]
+) -> Dict[int, Any]:
+    """Index -> stored result of every spec ``cache`` already holds."""
+    found: Dict[int, Any] = {}
+    if cache is not None:
+        for index, spec in enumerate(specs):
+            result = cache.get(spec)
+            if result is not None:
+                found[index] = result
+    return found
+
+
+def run_specs(
+    specs: Sequence[Spec],
+    executor: Executor,
+    cache: Optional[ResultCache] = None,
+) -> Tuple[List[Any], int]:
+    """Results of ``specs`` in order, and how many came from ``cache``.
+
+    Cache hits are served without touching the executor; only the misses
+    are mapped through it (with :func:`execute_spec`), and their results
+    are stored back into ``cache``.
+    """
+    results = cached_results(specs, cache)
+    hits = len(results)
+    missing = [index for index in range(len(specs)) if index not in results]
+    fresh = executor.map(execute_spec, [specs[index] for index in missing])
+    for index, result in zip(missing, fresh):
+        results[index] = result
+        if cache is not None:
+            cache.put(specs[index], result)
+    return [results[index] for index in range(len(specs))], hits
+
+
+__all__ = [
+    "RunSpec",
+    "SPEC_SCHEMA_VERSION",
+    "Spec",
+    "cached_results",
+    "digest",
+    "execute_spec",
+    "jsonable",
+    "run_specs",
+]

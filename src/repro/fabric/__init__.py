@@ -22,7 +22,6 @@ from repro.fabric.tasks import (
     envelope_for,
     execute_envelope,
     fingerprint_sha,
-    kind_for,
 )
 from repro.fabric.worker import worker_loop
 
@@ -40,6 +39,5 @@ __all__ = [
     "envelope_for",
     "execute_envelope",
     "fingerprint_sha",
-    "kind_for",
     "worker_loop",
 ]

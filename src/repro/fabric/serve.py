@@ -34,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exp.cache import ResultCache
-from repro.exp.spec import RunSpec, execute_spec
+from repro.exp.spec import RunSpec, cached_results, execute_spec
 from repro.fabric.scheduler import FabricJob, FabricScheduler
 from repro.fabric.tasks import envelope_for, fingerprint_sha
 
@@ -139,18 +139,12 @@ class FabricService:
     def submit(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Expand ``doc`` into cells, serve hits, fan out misses."""
         specs = self._parse_spec(doc)
-        cached: Dict[int, Any] = {}
-        pending: List[Tuple[int, RunSpec]] = []
-        for index, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
-            if hit is not None:
-                cached[index] = hit
-            else:
-                pending.append((index, spec))
+        cached = cached_results(specs, self.cache)
+        pending = [index for index in range(len(specs)) if index not in cached]
         fabric_job: Optional[FabricJob] = None
         if pending:
             fabric_job = self.scheduler.submit(
-                [envelope_for(execute_spec, spec) for _, spec in pending]
+                [envelope_for(execute_spec, specs[index]) for index in pending]
             )
         with self._lock:
             self._job_seq += 1
@@ -159,7 +153,7 @@ class FabricService:
                 specs=specs,
                 cached=cached,
                 fabric_job=fabric_job,
-                pending_index=[index for index, _ in pending],
+                pending_index=pending,
             )
             self._jobs[job.job_id] = job
             self.counters["experiments_submitted"] += 1

@@ -1,61 +1,42 @@
 """Fabric tasks: the unit of work the scheduler ships to workers.
 
-A :class:`TaskEnvelope` wraps one content-addressed piece of work --
-an experiment cell (:class:`repro.exp.spec.RunSpec`), a crash point
-(:class:`repro.crashtest.campaign.CrashPointSpec`), a litmus cell
-(:class:`repro.litmus.spec.LitmusSpec`), or a generic ``(fn, item)``
-call -- into a picklable record the directory queue can persist and any
-worker process can execute.
+A :class:`TaskEnvelope` wraps one piece of work into a picklable record
+the directory queue can persist and any worker process can execute.
+There are two kinds:
+
+- ``spec`` -- the map function is :func:`repro.exp.spec.execute_spec`
+  and the item is a :class:`repro.exp.spec.Spec` (a grid cell, a crash
+  point, a litmus cell, ...).  The payload is the pickled spec, so
+  unpickling it imports the spec's own module and the worker runs it
+  with no dispatch table; an externally attached worker (``repro fabric
+  worker``) only needs the same source tree.
+- ``call`` -- any other (module-level) function, pickled together with
+  its item.  The bench suites use it, addressing cases by name.
 
 Two properties carry the fabric's exactly-once-results guarantee:
 
-1. **Content-addressed identity.**  ``task_id`` is derived from the
-   spec's own :meth:`key` (SHA-256 of everything that determines the
-   result) for the spec kinds, so re-enqueueing the same cell -- from a
-   retry, a second campaign, or a concurrent ``repro serve`` submission
-   -- collapses onto the same task, and two workers racing on it write
-   byte-identical results.
-2. **Kind-based dispatch.**  The envelope records a *kind*, not a
-   pickled function, for the spec kinds; workers resolve the trampoline
-   by import, so an externally attached worker (``repro fabric
-   worker``) only needs the same source tree, not a pickle of the
-   scheduler's closure state.  The generic ``call`` kind pickles the
-   (module-level) function itself and is the escape hatch the bench
-   tenant uses.
-
-Simulation is deterministic given a spec, so a retried or duplicated
-execution always reproduces the same result -- "at-least-once
-execution, exactly-once results".
+1. **Content-addressed identity.**  A ``spec`` task's id is the spec's
+   own :meth:`~repro.exp.spec.Spec.key`, so re-enqueueing the same cell
+   -- from a retry, a second campaign, or a concurrent ``repro serve``
+   submission -- collapses onto the same task, and two workers racing
+   on it write byte-identical results.
+2. **Determinism.**  Simulation is deterministic given a spec, so a
+   retried or duplicated execution always reproduces the same result --
+   "at-least-once execution, exactly-once results".
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
-import json
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
+
+from repro.exp.executors import SerialExecutor
+from repro.exp.spec import digest, execute_spec, run_specs
 
 #: bump when envelope encoding or dispatch semantics change.
-FABRIC_SCHEMA_VERSION = 1
-
-#: trampoline qualname -> task kind (resolved lazily; importing the
-#: heavy campaign modules is deferred until a task of that kind runs).
-_KIND_BY_TRAMPOLINE: Dict[str, str] = {
-    "repro.exp.spec:execute_spec": "run",
-    "repro.crashtest.campaign:execute_crash_point": "crash",
-    "repro.litmus.spec:execute_litmus_spec": "litmus",
-}
-
-#: task kind -> trampoline to import and call with the payload spec.
-_TRAMPOLINE_BY_KIND: Dict[str, str] = {
-    kind: ref for ref, kind in _KIND_BY_TRAMPOLINE.items()
-}
-
-#: kinds whose payload is a content-addressed spec with ``.key()`` --
-#: these participate in the shared ResultCache store.
-SPEC_KINDS = frozenset(_TRAMPOLINE_BY_KIND)
+FABRIC_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -89,33 +70,16 @@ def _qualname(fn: Callable[..., Any]) -> str:
     return f"{fn.__module__}:{fn.__qualname__}"
 
 
-def _resolve(ref: str) -> Callable[[Any], Any]:
-    module_name, _, attr = ref.partition(":")
-    module = importlib.import_module(module_name)
-    fn: Callable[[Any], Any] = getattr(module, attr)
-    return fn
-
-
-def kind_for(fn: Callable[[Any], Any]) -> str:
-    """The task kind a map function dispatches as (``call`` if unknown)."""
-    return _KIND_BY_TRAMPOLINE.get(_qualname(fn), "call")
-
-
 def envelope_for(fn: Callable[[Any], Any], item: Any) -> TaskEnvelope:
     """Wrap one ``executor.map`` item into an envelope.
 
-    Spec kinds are addressed by their content hash; generic calls by the
-    hash of the function's qualname plus the pickled item (stable within
-    one scheduler run, which is all retry needs).
+    Specs are addressed by their content key; generic calls by the hash
+    of the function's qualname plus the pickled item (stable within one
+    scheduler run, which is all retry needs).
     """
-    kind = kind_for(fn)
-    if kind in SPEC_KINDS:
-        task_id = hashlib.sha256(
-            f"{kind}:{item.key()}".encode("utf-8")
-        ).hexdigest()
-        label = str(item.label())
-        return TaskEnvelope(task_id=task_id, kind=kind, payload=item,
-                            label=label)
+    if fn is execute_spec:
+        return TaskEnvelope(task_id=item.key(), kind="spec", payload=item,
+                            label=str(item.label()))
     blob = pickle.dumps((_qualname(fn), item), protocol=4)
     task_id = hashlib.sha256(b"call:" + blob).hexdigest()
     return TaskEnvelope(
@@ -129,22 +93,15 @@ def envelope_for(fn: Callable[[Any], Any], item: Any) -> TaskEnvelope:
 def execute_envelope(env: TaskEnvelope, cache: Optional[Any] = None) -> Tuple[Any, bool]:
     """Run one envelope in the current process.
 
-    Returns ``(result, cached)``.  For spec kinds ``cache`` (a
-    :class:`repro.exp.cache.ResultCache` or None) is consulted first and
-    populated after a fresh run -- the cache directory is the fabric's
-    shared store, so any worker's completed cell is every future
-    campaign's cache hit.
+    Returns ``(result, cached)``.  A ``spec`` task goes through
+    :func:`repro.exp.spec.run_specs` with ``cache`` (a
+    :class:`repro.exp.cache.ResultCache` or None) -- the cache directory
+    is the fabric's shared store, so any worker's completed cell is
+    every future campaign's cache hit.
     """
-    if env.kind in SPEC_KINDS:
-        spec = env.payload
-        if cache is not None:
-            hit = cache.get(spec)
-            if hit is not None:
-                return hit, True
-        result = _resolve(_TRAMPOLINE_BY_KIND[env.kind])(spec)
-        if cache is not None:
-            cache.put(spec, result)
-        return result, False
+    if env.kind == "spec":
+        [result], hits = run_specs([env.payload], SerialExecutor(), cache)
+        return result, hits == 1
     if env.kind == "call":
         fn, item = env.payload
         return fn(item), False
@@ -158,26 +115,15 @@ def fingerprint_sha(result: Any) -> str:
     of the same cell can be compared without shipping the whole stats
     registry over the wire.
     """
-
-    def plain(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        return value
-
-    payload = json.dumps(
-        plain(result.fingerprint()), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest(result.fingerprint())
 
 
 __all__ = [
     "FABRIC_SCHEMA_VERSION",
     "FabricTaskError",
-    "SPEC_KINDS",
     "TaskEnvelope",
     "TaskOutcome",
     "envelope_for",
     "execute_envelope",
     "fingerprint_sha",
-    "kind_for",
 ]

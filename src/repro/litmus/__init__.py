@@ -34,7 +34,6 @@ from repro.litmus.spec import (
     LITMUS_SCHEMA_VERSION,
     LitmusCellResult,
     LitmusSpec,
-    execute_litmus_spec,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "SMOKE_TESTS",
     "UNOBSERVED_RULE",
     "build_corpus",
-    "execute_litmus_spec",
     "families",
     "random_test",
     "run_litmus",

@@ -1,12 +1,11 @@
 """Drive a litmus run: axiomatic sets, operational cells, the diff.
 
 For each selected test the runner computes the axiomatic allowed-set
-once, then fans one :class:`~repro.litmus.spec.LitmusSpec` per
-registered RP model out through the shared experiment machinery
-(:class:`~repro.exp.cache.ResultCache` for content-addressed reuse,
-:func:`~repro.exp.executors.make_executor` for optional process
-parallelism), and classifies the per-cell state diff into a
-:class:`~repro.litmus.report.LitmusReport`.
+once, then runs one :class:`~repro.litmus.spec.LitmusSpec` per
+registered RP model through :func:`~repro.exp.spec.run_specs` (the
+:class:`~repro.exp.cache.ResultCache` for content-addressed reuse, an
+executor for optional parallelism), and classifies the per-cell state
+diff into a :class:`~repro.litmus.report.LitmusReport`.
 
 EP-persistency designs are deliberately out of scope: under epoch
 persistency the machine inserts *more* ordering (every conflict is a
@@ -17,6 +16,7 @@ too-strong slack would swamp the report.  The gate models are exactly
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -26,12 +26,9 @@ from repro.axiom.program import LitmusTest, format_state
 from repro.core.models import RP_MODELS, ModelSpec
 from repro.exp.cache import ResultCache
 from repro.exp.executors import Executor, make_executor
+from repro.exp.spec import run_specs
 from repro.litmus.report import CellDiff, LitmusReport
-from repro.litmus.spec import (
-    LitmusCellResult,
-    LitmusSpec,
-    execute_litmus_spec,
-)
+from repro.litmus.spec import LitmusSpec
 from repro.sim.config import MachineConfig
 
 
@@ -55,7 +52,15 @@ def run_litmus(
     tests: List[LitmusTest],
     options: Optional[LitmusRunOptions] = None,
 ) -> LitmusReport:
-    """Cross-validate ``tests`` under every model in ``options.models``."""
+    """Cross-validate ``tests`` under every model in ``options.models``.
+
+    Raises ``ValueError`` before any work if two tests share a name:
+    cells are matched to their allowed sets by test name.
+    """
+    counts = Counter(test.name for test in tests)
+    duplicates = sorted(name for name, count in counts.items() if count > 1)
+    if duplicates:
+        raise ValueError(f"duplicate litmus test names: {duplicates}")
     options = options or LitmusRunOptions()
 
     allowed: Dict[str, List[str]] = {}
@@ -85,28 +90,12 @@ def run_litmus(
         if options.cache_dir is not None
         else None
     )
-    results: List[Optional[LitmusCellResult]] = [None] * len(specs)
-    missing: List[int] = []
-    for index, spec in enumerate(specs):
-        hit = cache.get(spec) if cache is not None else None
-        if hit is not None:
-            results[index] = hit
-        else:
-            missing.append(index)
-    if missing:
-        executor = options.executor or make_executor(options.jobs)
-        fresh = executor.map(
-            execute_litmus_spec, [specs[index] for index in missing]
-        )
-        for index, result in zip(missing, fresh):
-            results[index] = result
-            if cache is not None:
-                cache.put(specs[index], result)
+    results, _ = run_specs(
+        specs, options.executor or make_executor(options.jobs), cache
+    )
 
-    by_test = {test.name: test for test in tests}
     cells: List[CellDiff] = []
     for result in results:
-        assert result is not None
         allowed_set = set(allowed[result.test])
         observed_set = set(result.states)
         cells.append(
@@ -120,7 +109,6 @@ def run_litmus(
                 first_cycle=dict(result.first_cycle),
             )
         )
-    assert len(by_test) == len(tests), "duplicate test names in selection"
     return LitmusReport(
         points=options.points,
         seed=options.seed,

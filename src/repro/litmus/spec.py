@@ -1,11 +1,12 @@
 """Fully-specified litmus cells: one (test, model) operational run.
 
-Mirrors :class:`repro.exp.spec.RunSpec` -- a frozen, content-addressed,
+A :class:`repro.exp.spec.Spec` -- a frozen, content-addressed,
 picklable description of everything that determines one result -- so
-litmus cells reuse the existing :class:`repro.exp.cache.ResultCache`
-and executors unchanged.  Ops travel in their
-:mod:`repro.trace.ops` list encoding (JSON-friendly and hashable), so
-the spec's identity covers the exact program, not just its name.
+litmus cells reuse :func:`repro.exp.spec.run_specs`, the
+:class:`repro.exp.cache.ResultCache` and the executors unchanged.  Ops
+travel in their :mod:`repro.trace.ops` list encoding (JSON-friendly and
+hashable), so the spec's identity covers the exact program, not just
+its name.
 
 Executing a cell:
 
@@ -27,8 +28,6 @@ cycle that exposed it, which is what the disagreement report prints.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -40,7 +39,7 @@ from repro.crashtest.points import (
     enumerate_crash_points,
     trace_reference_programs,
 )
-from repro.exp.spec import _jsonable
+from repro.exp.spec import Spec, jsonable
 from repro.sim.config import MachineConfig, RunConfig
 from repro.trace.ops import decode_op, encode_op
 
@@ -58,7 +57,7 @@ def encode_threads(test: LitmusTest) -> Tuple[Tuple[EncodedOp, ...], ...]:
 
 
 @dataclass(frozen=True)
-class LitmusSpec:
+class LitmusSpec(Spec):
     """One (litmus test, model) operational cell."""
 
     test: str
@@ -105,26 +104,20 @@ class LitmusSpec:
 
     # -- identity ------------------------------------------------------------
 
-    def describe(self) -> dict:
+    def describe(self) -> Dict[str, Any]:
         return {
             "kind": "litmus-cell",
             "schema": LITMUS_SCHEMA_VERSION,
             "test": self.test,
             "family": self.family,
-            "threads": _jsonable(self.threads),
-            "locations": _jsonable(self.locations),
+            "threads": jsonable(self.threads),
+            "locations": jsonable(self.locations),
             "hardware": self.model.hardware.value,
             "persistency": self.model.persistency.value,
-            "machine": _jsonable(self.machine),
+            "machine": jsonable(self.machine),
             "points": self.points,
             "seed": self.seed,
         }
-
-    def key(self) -> str:
-        payload = json.dumps(
-            self.describe(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def label(self) -> str:
         return f"litmus/{self.test}/{self.model.name}@p{self.points}"
@@ -200,11 +193,6 @@ class LitmusCellResult:
         }
 
 
-def execute_litmus_spec(spec: LitmusSpec) -> LitmusCellResult:
-    """Module-level trampoline for process-pool executors."""
-    return spec.execute()
-
-
 def _check_fields() -> None:
     # dataclasses with a custom __init__ must keep field order in sync.
     expected = (
@@ -223,5 +211,4 @@ __all__ = [
     "LitmusCellResult",
     "LitmusSpec",
     "encode_threads",
-    "execute_litmus_spec",
 ]

@@ -1,14 +1,10 @@
-"""Unit tests for the sweep driver and text reporting."""
+"""Unit tests for the grid driver and text reporting."""
 
 import pytest
 
 from repro.analysis.report import format_speedup, render_series, render_table
-from repro.analysis.sweeps import (
-    ModelSpec,
-    RP_MODELS,
-    STANDARD_MODELS,
-    sweep,
-)
+from repro.core.models import ModelSpec, RP_MODELS, STANDARD_MODELS
+from repro.exp import run_grid
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 from repro.workloads.microbench import FenceLatencyMicrobench
 
@@ -38,7 +34,7 @@ class TestSweep:
             ModelSpec("baseline", HardwareModel.BASELINE, PersistencyModel.RELEASE),
             ModelSpec("asap", HardwareModel.ASAP, PersistencyModel.RELEASE),
         ]
-        return sweep(
+        return run_grid(
             [FenceLatencyMicrobench], models,
             MachineConfig(num_cores=2), ops_per_thread=20,
         )

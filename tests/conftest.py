@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.api import (
     Acquire,
@@ -23,6 +24,14 @@ from repro.sim.config import (
 )
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
+
+# Tier-1 passes or fails the same tests on every run: every @given test
+# draws its examples from a fixed seed, and no example database carries
+# failures from one run into the next.  A fixed seed can miss what a
+# random run would find, so known counterexamples are pinned with
+# @example.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

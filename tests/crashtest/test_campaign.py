@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.crashtest import (
-    CrashPointSpec,
-    execute_crash_point,
-    run_campaign,
-)
-from repro.exp import ResultCache
+from repro.crashtest import CrashPointSpec, run_campaign
+from repro.exp import ResultCache, execute_spec
 from repro.obs.events import EventType
 
 
@@ -52,7 +48,7 @@ def test_unknown_workload_or_model_raises_early():
 def test_execute_crash_point_is_deterministic():
     spec = CrashPointSpec("queue", "asap_rp", crash_cycle=300,
                           ops_per_thread=6)
-    assert execute_crash_point(spec) == execute_crash_point(spec)
+    assert execute_spec(spec) == execute_spec(spec)
 
 
 # -- smoke campaign ---------------------------------------------------------

@@ -78,13 +78,6 @@ class TestSingleSourceOfTruth:
         for spec in STANDARD_MODELS:
             assert MODEL_REGISTRY[spec.name] is spec
 
-    def test_analysis_sweeps_reexports_registry(self):
-        from repro.analysis import sweeps
-
-        assert sweeps.ModelSpec is type(MODEL_REGISTRY["asap_rp"])
-        assert sweeps.STANDARD_MODELS is STANDARD_MODELS
-        assert sweeps.RP_MODELS is RP_MODELS
-
     def test_cli_list_prints_registry(self, capsys):
         from repro.cli import main
 

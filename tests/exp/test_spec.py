@@ -1,8 +1,8 @@
 """RunSpec: the one way to build a run.
 
 Covers the construction surface (workload name or class, model name or
-spec), the content-hash identity, and the seed-threading contract that
-the legacy ``sweep()`` path violated (workload seeded, simulator not).
+spec), the content-hash identity shared by every spec type, and the
+seed-threading contract (workload and simulator seeded alike).
 """
 
 import pickle
@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from repro.core.models import MODEL_REGISTRY, ModelSpec, resolve_model
-from repro.exp import RunSpec
+from repro.exp import RunSpec, digest, run_grid
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 from repro.workloads.base import Workload
 from repro.workloads.microbench import FenceLatencyMicrobench
@@ -63,10 +63,8 @@ class TestSeedThreading:
         spec = RunSpec("fence_latency", "asap_rp", seed=42)
         assert spec.build_workload().seed == 42
 
-    def test_legacy_sweep_threads_seed_too(self):
-        from repro.analysis.sweeps import sweep
-
-        result = sweep(
+    def test_run_grid_threads_seed_too(self):
+        result = run_grid(
             [FenceLatencyMicrobench], ["asap_rp"],
             MachineConfig(num_cores=1), ops_per_thread=5, seed=13,
         )
@@ -117,3 +115,26 @@ class TestKey:
             RunSpec("fence_latency", custom).key()
             == RunSpec("fence_latency", "asap_rp").key()
         )
+
+    def test_keys_are_pinned(self):
+        """The keys existing caches were written under, one per spec
+        type: changing one orphans every ResultCache entry and fabric
+        store of that type."""
+        from repro.crashtest.campaign import CrashPointSpec
+        from repro.litmus.corpus import build_corpus
+        from repro.litmus.spec import LitmusSpec
+
+        test = build_corpus(7)[0]
+        assert test.name == "mp_fenced"
+        pinned = [
+            (RunSpec("nstore", "asap_rp", ops_per_thread=40, num_threads=4,
+                     seed=7),
+             "49b5b06a692abeeeabb5152b72d9454f3d4552ce22f0363979148b6b1cbe1799"),
+            (CrashPointSpec("nstore", "asap_rp", crash_cycle=1234,
+                            ops_per_thread=40, seed=7),
+             "38449c7711ab4d53421209fa4e51fe4497ed5653f422ad31bc202a3a10ac358a"),
+            (LitmusSpec(test, "asap_rp", points=24, seed=7),
+             "426a75dc2ec83a40a70c2230a2d8d6d1af12820c856d47daf8ef0992eea0a93f"),
+        ]
+        for spec, key in pinned:
+            assert spec.key() == digest(spec.describe()) == key, spec.label()

@@ -80,3 +80,22 @@ def test_ephemeral_executor_records_counters():
     executor = FabricExecutor(jobs=2)
     executor.map(run_named_case, [("smoke", "macro/nstore/baseline", 1)])
     assert executor.last_counters["tasks_completed"] == 1
+
+
+def test_every_spec_type_is_one_spec_task_addressed_by_its_key():
+    from repro.crashtest.campaign import CrashPointSpec
+    from repro.exp import RunSpec, execute_spec
+    from repro.fabric import envelope_for
+    from repro.litmus.spec import LitmusSpec
+
+    specs = [
+        RunSpec("queue", "asap_rp", ops_per_thread=10),
+        CrashPointSpec("queue", "asap_rp", crash_cycle=100),
+        LitmusSpec(smoke_corpus()[0], "asap_rp", points=4),
+    ]
+    for spec in specs:
+        env = envelope_for(execute_spec, spec)
+        assert (env.kind, env.task_id, env.payload) == (
+            "spec", spec.key(), spec
+        )
+    assert envelope_for(run_named_case, ("smoke", "x", 1)).kind == "call"

@@ -120,7 +120,7 @@ def test_chaos_kill_converges_byte_identical(tmp_path):
     lines = [json.loads(line) for line in stream.read_text().splitlines()]
     assert len(lines) == len(specs)
     assert all(line["ok"] for line in lines)
-    assert all(line["kind"] == "run" for line in lines)
+    assert all(line["kind"] == "spec" for line in lines)
 
 
 def test_task_exception_is_terminal_not_retried():

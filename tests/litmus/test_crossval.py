@@ -7,6 +7,8 @@ comparison has teeth, demonstrated by the ``asap_no_undo`` ablation
 reaching a state the (execution-restricted) axioms forbid.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.axiom import (
@@ -25,6 +27,7 @@ from repro.core.models import RP_MODELS, resolve_model
 from repro.litmus import (
     LitmusRunOptions,
     SMOKE_POINTS,
+    build_corpus,
     run_litmus,
     smoke_corpus,
 )
@@ -168,3 +171,22 @@ class TestCheckerHasTeeth:
     )
     def test_correct_models_stay_inside_the_allowed_set(self, shape, model):
         assert self._violations(shape, model) == []
+
+
+def test_duplicate_test_names_are_rejected_before_simulating():
+    """Cells are matched to allowed sets by test name, so two programs
+    sharing one would diff a cell against the other's allowed set."""
+    fenced, unfenced = build_corpus(names=["mp_fenced", "mp_unfenced"])
+    renamed = dataclasses.replace(unfenced, name="mp_fenced")
+
+    class RefusingExecutor:
+        jobs = 1
+
+        def map(self, fn, items):
+            raise AssertionError("simulated despite duplicate test names")
+
+    with pytest.raises(ValueError, match="mp_fenced"):
+        run_litmus(
+            [fenced, renamed],
+            LitmusRunOptions(points=4, executor=RefusingExecutor()),
+        )

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.exp.cache import ResultCache
+from repro.exp.spec import execute_spec
 from repro.litmus.corpus import NAMED_BUILDERS
-from repro.litmus.spec import LitmusSpec, execute_litmus_spec
+from repro.litmus.spec import LitmusSpec
 
 
 def _spec(name="flush_ofence", **kwargs):
@@ -39,7 +40,7 @@ class TestIdentity:
 
 class TestExecution:
     def test_execute_observes_pristine_and_drained_images(self):
-        result = execute_litmus_spec(_spec(points=4))
+        result = execute_spec(_spec(points=4))
         # cycle 1 exposes the all-init image; past-drain the full one.
         assert "x=init y=init" in result.states
         assert "x=t0s1 y=t0s2" in result.states

@@ -12,7 +12,7 @@ Two families of properties:
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.api import PMAllocator
 from repro.core.crash import crash_machine
@@ -53,10 +53,18 @@ class TestConvergence:
         epoch_size=st.integers(min_value=1, max_value=6),
         sharing=st.floats(min_value=0.0, max_value=1.0),
     )
+    @example(seed=421, epoch_size=1, sharing=0.9375)
     @settings(max_examples=15, deadline=None)
     def test_asap_and_hops_converge_identically(self, seed, epoch_size, sharing):
         """Trace-driven differential: both buffered designs end with the
-        same durable image for the same trace.
+        same durable value on every line that a single core writes.
+
+        A line two cores write with no lock between them ends with
+        whichever store came last, and that depends on each design's
+        timing (the pinned example's shared line ends as core 0's write
+        under ASAP and core 1's under HOPS), so it is not a property of
+        the design.  That every line converges to its newest write on
+        each design alone is ``test_final_memory_is_newest_writes``.
 
         Global write IDs are assigned in execution order, so two cores'
         stores can be numbered differently under different timing models;
@@ -78,12 +86,15 @@ class TestConvergence:
             media = crash_machine(machine).media
             ordinal = {}
             per_core = {}
+            writers = {}
             for write_id in sorted(machine.log.writes):
-                core = machine.log.writes[write_id].core
-                per_core[core] = per_core.get(core, -1) + 1
-                ordinal[write_id] = (core, per_core[core])
+                record = machine.log.writes[write_id]
+                per_core[record.core] = per_core.get(record.core, -1) + 1
+                ordinal[write_id] = (record.core, per_core[record.core])
+                writers.setdefault(record.line, set()).add(record.core)
             images[hardware] = {
                 line: ordinal[write_id] for line, write_id in media.items()
+                if len(writers[line]) == 1
             }
         assert images[HardwareModel.ASAP] == images[HardwareModel.HOPS]
 
