@@ -553,47 +553,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import (
-        BenchRecord,
-        compare_records,
-        parse_max_regress,
-        run_suite,
-    )
-
-    if args.compare:
-        base_path, new_path = args.compare
-        try:
-            threshold = parse_max_regress(args.max_regress)
-        except ValueError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-        comparison = compare_records(
-            BenchRecord.load(base_path), BenchRecord.load(new_path),
-            max_regress=threshold,
-        )
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-
-    def progress(name, result) -> None:
-        extra = ""
-        if result.error is not None:
-            extra = f", geomean error {result.error:.2%}"
-        print(f"  {name}: {result.ops_per_sec:,.0f} ops/s "
-              f"({result.wall_s:.3f}s best of {result.reps}{extra})")
-
-    suite = "sampled" if args.sampled else args.suite
-    print(f"running bench suite {suite!r} ({args.reps} reps per case)")
-    record = run_suite(
-        suite, reps=args.reps, progress=progress,
-        executor=_fabric_executor(args),
-    )
-    out = args.out or record.default_filename()
-    record.save(out)
-    print(f"wrote {out} (git {record.git_sha[:12]})")
-    return 0
-
-
 def cmd_serve(args) -> int:
     from repro.fabric.serve import serve
 
@@ -914,38 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print unobserved (too-strong) states")
     _fabric_flags(p_lit)
     p_lit.set_defaults(func=cmd_litmus)
-
-    from repro.bench.suites import SUITES
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure simulator performance / gate perf regressions",
-    )
-    p_bench.add_argument("--suite", choices=sorted(SUITES), default="smoke",
-                         help="pinned benchmark suite to run "
-                         "(default: smoke)")
-    p_bench.add_argument("--sampled", action="store_true",
-                         help="shorthand for --suite sampled: effective "
-                         "throughput of sampled simulation plus its "
-                         "geomean error column")
-    p_bench.add_argument("--reps", type=int, default=3,
-                         help="repetitions per case; best wall time wins "
-                         "(default: 3)")
-    p_bench.add_argument("--out", metavar="PATH",
-                         help="record path (default: BENCH_<date>.json)")
-    p_bench.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
-                         help="compare two records instead of running; "
-                         "exit 1 on regression beyond --max-regress")
-    p_bench.add_argument("--max-regress", default="10%",
-                         help="allowed per-bench throughput drop for "
-                         "--compare, e.g. '10%%' or '0.1' (default: 10%%)")
-    p_bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="fabric worker count (with --fabric)")
-    p_bench.add_argument("--fabric", action="store_true",
-                         help="fan cases out over the fault-tolerant "
-                         "fabric (throughput surveys; the CI perf gate "
-                         "stays serial for low-noise timing)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_ckpt = sub.add_parser(
         "ckpt",

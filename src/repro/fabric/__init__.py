@@ -1,11 +1,12 @@
 """repro.fabric: a fault-tolerant experiment fabric.
 
-Shards :mod:`repro.exp` plans, crash-sweep campaigns, litmus
-enumerations, and bench suites across worker processes through a
-crash-safe directory queue; streams results incrementally as JSONL;
-dedupes via the content-hash :class:`repro.exp.cache.ResultCache` used
-as a shared store; and survives worker death (SIGKILL mid-task) through
-lease-based work stealing with zero lost or duplicated results.
+Shards :mod:`repro.exp` plans, crash-sweep campaigns and litmus
+enumerations -- every task is a :class:`repro.exp.spec.Spec` -- across
+worker processes through a crash-safe directory queue; streams results
+incrementally as JSONL; dedupes via the content-hash
+:class:`repro.exp.cache.ResultCache` used as a shared store; and
+survives worker death (SIGKILL mid-task) through lease-based work
+stealing with zero lost or duplicated results.
 
 See ``docs/fabric.md`` for the architecture and the exactly-once
 argument.

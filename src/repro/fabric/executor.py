@@ -1,12 +1,12 @@
 """FabricExecutor: the fabric behind the `repro.exp` executor protocol.
 
-Anything that already fans work out through ``executor.map`` --
-:func:`repro.exp.plan.run_plan`, :func:`repro.crashtest.campaign.
-run_campaign`, :func:`repro.litmus.runner.run_litmus`, the bench suite
-runner -- can swap its process pool for the fault-tolerant fabric by
-passing one of these instead.  Results come back in input order, so it
-is a drop-in replacement: same campaign document bytes, different
-execution substrate.
+Anything that fans specs out through ``executor.map(execute_spec,
+specs)`` -- :func:`repro.exp.plan.run_plan`, :func:`repro.crashtest.
+campaign.run_campaign`, :func:`repro.litmus.runner.run_litmus` -- can
+swap its process pool for the fault-tolerant fabric by passing one of
+these instead.  Results come back in input order, so it is a drop-in
+replacement: same campaign document bytes, different execution
+substrate.  Any other map function is a ``TypeError``.
 
 Two ownership modes:
 

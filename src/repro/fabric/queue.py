@@ -3,13 +3,14 @@
 Layout under the queue root::
 
     tasks/<task_id>.task     pickled TaskEnvelope (written once, atomic)
-    leases/<task_id>.lease   JSON {worker, pid, ts} -- O_EXCL claim token
+    leases/<task_id>.lease   JSON {worker, pid, ts} -- exclusive claim token
     results/<task_id>.pkl    pickled TaskOutcome (atomic tmp + rename)
     results.jsonl            scheduler-appended incremental progress
     STOP                     sentinel: workers drain and exit
 
-Every mutation is either an atomic rename or an ``O_CREAT | O_EXCL``
-create, so the queue tolerates SIGKILL at any instant on either side:
+Every mutation is either an atomic rename or an exclusive hard link of
+a fully written file, so the queue tolerates SIGKILL at any instant on
+either side:
 
 - a killed **writer** leaves at worst a ``.tmp-*`` orphan, never a
   truncated entry (readers treat an unreadable pickle as absent and
@@ -98,18 +99,25 @@ class FabricQueue:
     # -- leases -------------------------------------------------------------
 
     def try_claim(self, task_id: str, worker: str, ts: float) -> bool:
-        """Atomically claim ``task_id``; False if someone else holds it."""
+        """Atomically claim ``task_id``; False if someone else holds it.
+
+        The lease is written in full to a temporary file and then
+        hard-linked into place, which fails if the lease exists.  A
+        worker killed at any instant therefore leaves no lease or a
+        complete one -- never an empty lease that no one can read, and
+        so no one can steal.
+        """
+        fd, tmp = tempfile.mkstemp(dir=self.leases_dir, prefix=".tmp-")
         try:
-            fd = os.open(
-                self._lease_path(task_id),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
+            with os.fdopen(fd, "w") as fh:
+                json.dump(
+                    {"worker": worker, "pid": os.getpid(), "ts": ts}, fh
+                )
+            os.link(tmp, self._lease_path(task_id))
         except FileExistsError:
             return False
-        with os.fdopen(fd, "w") as fh:
-            json.dump(
-                {"worker": worker, "pid": os.getpid(), "ts": ts}, fh
-            )
+        finally:
+            os.unlink(tmp)
         return True
 
     def claim_next(self, worker: str, ts: float) -> Optional[TaskEnvelope]:

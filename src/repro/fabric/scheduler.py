@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Union
 
+from repro.exp.spec import execute_spec
 from repro.fabric.queue import FabricQueue
 from repro.fabric.tasks import (
     FabricTaskError,
@@ -50,6 +51,7 @@ from repro.fabric.tasks import (
     TaskOutcome,
     envelope_for,
 )
+from repro.fabric.worker import worker_loop
 
 
 class FabricStalledError(RuntimeError):
@@ -58,7 +60,6 @@ class FabricStalledError(RuntimeError):
 
 @dataclass
 class _TaskMeta:
-    kind: str
     label: str
     retries: int = 0
 
@@ -250,9 +251,7 @@ class FabricScheduler:
                 if env.task_id in self._meta:
                     self.counters["tasks_deduped"] += 1
                     continue
-                self._meta[env.task_id] = _TaskMeta(
-                    kind=env.kind, label=env.label
-                )
+                self._meta[env.task_id] = _TaskMeta(label=env.label)
                 self.queue.add_task(env)
                 fresh += 1
                 self._emit("fabric_task", kind="submit", value=None)
@@ -268,11 +267,20 @@ class FabricScheduler:
         items: Sequence[Any],
         timeout: Optional[float] = None,
     ) -> List[Any]:
-        """``executor.map`` semantics over the fabric (in input order)."""
+        """``executor.map`` semantics over the fabric (in input order).
+
+        The fabric runs specs only: ``fn`` must be
+        :func:`repro.exp.spec.execute_spec`, checked before any task is
+        written.
+        """
+        if fn is not execute_spec:
+            raise TypeError(
+                f"the fabric maps execute_spec over specs, not {fn!r}"
+            )
         items = list(items)
         if not items:
             return []
-        job = self.submit([envelope_for(fn, item) for item in items])
+        job = self.submit([envelope_for(item) for item in items])
         return job.wait(timeout=timeout)
 
     # -- pump ---------------------------------------------------------------
@@ -312,7 +320,6 @@ class FabricScheduler:
                 self._stream_line(
                     {
                         "task": task_id[:16],
-                        "kind": meta.kind,
                         "label": meta.label,
                         "ok": outcome.ok,
                         "cached": outcome.cached,
@@ -427,11 +434,10 @@ class FabricScheduler:
         worker_id = f"w{self._worker_seq}"
         ctx = multiprocessing.get_context()
         process = ctx.Process(
-            target=_worker_entry,
-            args=(
-                str(self.queue.root), worker_id, self.cache_dir,
-                self.poll_interval,
-            ),
+            target=worker_loop,
+            args=(str(self.queue.root), worker_id),
+            kwargs={"cache_dir": self.cache_dir,
+                    "poll_interval": self.poll_interval},
             name=f"fabric-{worker_id}",
             daemon=True,
         )
@@ -497,20 +503,6 @@ class FabricScheduler:
     def counters_snapshot(self) -> Dict[str, int]:
         with self._lock:
             return dict(self.counters)
-
-
-def _worker_entry(
-    queue_dir: str,
-    worker_id: str,
-    cache_dir: Optional[str],
-    poll_interval: float,
-) -> None:
-    from repro.fabric.worker import worker_loop
-
-    worker_loop(
-        queue_dir, worker_id, cache_dir=cache_dir,
-        poll_interval=poll_interval,
-    )
 
 
 def _pid_alive(pid: int) -> bool:

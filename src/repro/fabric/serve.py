@@ -34,13 +34,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exp.cache import ResultCache
-from repro.exp.spec import RunSpec, cached_results, execute_spec
+from repro.exp.spec import RunSpec, cached_results
 from repro.fabric.scheduler import FabricJob, FabricScheduler
 from repro.fabric.tasks import envelope_for, fingerprint_sha
+from repro.sim.config import MachineConfig
 
 
 class SpecError(ValueError):
     """A submitted experiment document is malformed (HTTP 400)."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _ServiceJob:
@@ -144,7 +149,7 @@ class FabricService:
         fabric_job: Optional[FabricJob] = None
         if pending:
             fabric_job = self.scheduler.submit(
-                [envelope_for(execute_spec, specs[index]) for index in pending]
+                [envelope_for(specs[index]) for index in pending]
             )
         with self._lock:
             self._job_seq += 1
@@ -176,6 +181,18 @@ class FabricService:
         unknown = set(doc) - {"workloads", "models", "ops", "threads", "seed"}
         if unknown:
             raise SpecError(f"unknown spec fields: {sorted(unknown)}")
+        if ops is not None and not (_is_int(ops) and ops >= 1):
+            raise SpecError(f'"ops" must be null or an integer >= 1: {ops!r}')
+        cores = MachineConfig().num_cores
+        if threads is not None and not (
+            _is_int(threads) and 1 <= threads <= cores
+        ):
+            raise SpecError(
+                f'"threads" must be null or an integer in 1..{cores}: '
+                f"{threads!r}"
+            )
+        if not _is_int(seed):
+            raise SpecError(f'"seed" must be an integer: {seed!r}')
         try:
             return [
                 RunSpec(
@@ -241,11 +258,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # where the body ends is unknown: answer, then hang up
+            self.close_connection = True
+            raise SpecError("Content-Length must be a non-negative integer")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise SpecError("empty request body")

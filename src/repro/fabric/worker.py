@@ -39,7 +39,7 @@ def worker_loop(
     """Claim-execute-report until the queue's STOP sentinel appears.
 
     ``cache_dir`` makes the shared :class:`repro.exp.cache.ResultCache`
-    available to spec-kind tasks (hit = skip simulation; fresh results
+    available to every task (hit = skip simulation; fresh results
     are written back for every future tenant).  ``max_idle_s`` bounds
     how long an externally attached worker lingers with nothing to do.
     Returns the number of tasks this worker completed.
@@ -79,17 +79,4 @@ def worker_loop(
     return completed
 
 
-def spawned_worker_main(
-    queue_dir: str,
-    worker_id: str,
-    cache_dir: Optional[str],
-    poll_interval: float,
-) -> None:
-    """Entry point for scheduler-spawned ``multiprocessing.Process``es."""
-    worker_loop(
-        queue_dir, worker_id, cache_dir=cache_dir,
-        poll_interval=poll_interval,
-    )
-
-
-__all__ = ["spawned_worker_main", "worker_loop"]
+__all__ = ["worker_loop"]

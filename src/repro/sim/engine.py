@@ -271,9 +271,4 @@ class Waiter:
         return len(self._waiters)
 
 
-def make_engine() -> Engine:
-    """Convenience factory (kept for API symmetry with other substrates)."""
-    return Engine()
-
-
-__all__ = ["CPU_FREQ_GHZ", "Engine", "Event", "Waiter", "make_engine", "ns_to_cycles"]
+__all__ = ["CPU_FREQ_GHZ", "Engine", "Event", "Waiter", "ns_to_cycles"]

@@ -28,9 +28,12 @@ from repro.sim.stats import StatsRegistry
 # Tier-1 passes or fails the same tests on every run: every @given test
 # draws its examples from a fixed seed, and no example database carries
 # failures from one run into the next.  A fixed seed can miss what a
-# random run would find, so known counterexamples are pinned with
-# @example.
+# random run would find, so a non-blocking CI job runs the hypothesis
+# tests with ``--hypothesis-profile=random`` (fresh examples each run,
+# failures kept in hypothesis's default example database, which CI
+# uploads).  Any counterexample it finds becomes an @example on its test.
 settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False)
 settings.load_profile("tier1")
 
 

@@ -7,9 +7,10 @@ executors are substrates, not semantics.
 
 from __future__ import annotations
 
-from repro.bench.suites import run_named_case
+import pytest
+
 from repro.crashtest.campaign import run_campaign
-from repro.exp import ExperimentPlan, run_plan
+from repro.exp import ExperimentPlan, RunSpec, execute_spec, run_plan
 from repro.fabric import FabricExecutor, FabricScheduler
 from repro.litmus import LitmusRunOptions, run_litmus, smoke_corpus
 
@@ -45,19 +46,6 @@ def test_run_litmus_over_fabric_is_byte_identical():
     assert serial.to_json() == fabric.to_json()
 
 
-def test_bench_case_runs_through_generic_call_kind():
-    executor = FabricExecutor(jobs=2)
-    results = executor.map(
-        run_named_case,
-        [("smoke", "macro/nstore/baseline", 1),
-         ("smoke", "macro/nstore/asap_rp", 1)],
-    )
-    assert [r.name for r in results] == [
-        "macro/nstore/baseline", "macro/nstore/asap_rp"
-    ]
-    assert all(r.ops > 0 and r.events > 0 for r in results)
-
-
 def test_attached_executor_reuses_one_scheduler():
     with FabricScheduler(jobs=2) as scheduler:
         executor = FabricExecutor(scheduler=scheduler)
@@ -78,13 +66,22 @@ def test_attached_executor_reuses_one_scheduler():
 
 def test_ephemeral_executor_records_counters():
     executor = FabricExecutor(jobs=2)
-    executor.map(run_named_case, [("smoke", "macro/nstore/baseline", 1)])
+    executor.map(execute_spec, [RunSpec("nstore", "baseline",
+                                        ops_per_thread=10)])
     assert executor.last_counters["tasks_completed"] == 1
+
+
+def test_map_runs_specs_only(tmp_path):
+    """The fabric's one task kind is a spec: any other map function is
+    refused before a task is written."""
+    queue = tmp_path / "q"
+    with pytest.raises(TypeError, match="execute_spec"):
+        FabricExecutor(jobs=1, queue_dir=queue).map(len, [[1]])
+    assert list((queue / "tasks").iterdir()) == []
 
 
 def test_every_spec_type_is_one_spec_task_addressed_by_its_key():
     from repro.crashtest.campaign import CrashPointSpec
-    from repro.exp import RunSpec, execute_spec
     from repro.fabric import envelope_for
     from repro.litmus.spec import LitmusSpec
 
@@ -94,8 +91,7 @@ def test_every_spec_type_is_one_spec_task_addressed_by_its_key():
         LitmusSpec(smoke_corpus()[0], "asap_rp", points=4),
     ]
     for spec in specs:
-        env = envelope_for(execute_spec, spec)
-        assert (env.kind, env.task_id, env.payload) == (
-            "spec", spec.key(), spec
+        env = envelope_for(spec)
+        assert (env.task_id, env.payload, env.label) == (
+            spec.key(), spec, spec.label()
         )
-    assert envelope_for(run_named_case, ("smoke", "x", 1)).kind == "call"

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import pickle
 
+import pytest
+
+from repro.exp import RunSpec
 from repro.fabric import FabricQueue, TaskEnvelope, TaskOutcome
 
 
 def _env(task_id: str = "t1") -> TaskEnvelope:
-    return TaskEnvelope(task_id=task_id, kind="call",
-                        payload=(len, [1, 2]), label="call:len")
+    spec = RunSpec("queue", "asap_rp", ops_per_thread=10)
+    return TaskEnvelope(task_id=task_id, payload=spec, label=spec.label())
 
 
 def test_task_roundtrip_and_idempotent_add(tmp_path):
@@ -35,6 +38,26 @@ def test_claim_is_exclusive(tmp_path):
     queue.release_lease("t1")
     assert queue.lease_info("t1") is None
     queue.release_lease("t1")  # releasing twice is fine
+
+
+def test_claim_cut_short_leaves_no_lease(tmp_path, monkeypatch):
+    """A worker that dies while writing its claim must not leave a lease
+    behind: an unreadable lease can be neither read nor stolen, so the
+    task would never run."""
+    queue = FabricQueue(tmp_path / "q")
+    queue.add_task(_env())
+
+    def dies_mid_write(*args, **kwargs):
+        raise KeyboardInterrupt  # stands in for a kill mid-write
+
+    monkeypatch.setattr(json, "dump", dies_mid_write)
+    with pytest.raises(KeyboardInterrupt):
+        queue.try_claim("t1", "w1", ts=1.0)
+    monkeypatch.undo()
+    assert list(queue.leases_dir.iterdir()) == []
+    env = queue.claim_next("w2", ts=2.0)
+    assert env is not None and env.task_id == "t1"
+    assert queue.lease_info("t1").worker == "w2"
 
 
 def test_claim_next_skips_leased_and_finished(tmp_path):

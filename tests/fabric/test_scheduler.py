@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import os
 import signal
+from dataclasses import dataclass
 
 import pytest
 
 from repro.exp import ResultCache
-from repro.exp.spec import RunSpec, execute_spec
+from repro.exp.spec import RunSpec, Spec, execute_spec
 from repro.fabric import (
     FabricScheduler,
     FabricStalledError,
@@ -25,17 +26,34 @@ def _specs(n: int, ops: int = 20):
     ]
 
 
-def _square(x: int) -> int:
-    return x * x
+@dataclass(frozen=True)
+class _Square(Spec):
+    """Test-only spec whose result is ``x * x``."""
+
+    x: int
+
+    def describe(self):
+        return {"spec": type(self).__name__, "x": self.x}
+
+    def label(self):
+        return f"{type(self).__name__}({self.x})"
+
+    def execute(self):
+        return self.x * self.x
 
 
-def _boom(x: int) -> int:
-    raise ValueError(f"boom on {x}")
+class _Boom(_Square):
+    """Test-only spec whose execution raises."""
+
+    def execute(self):
+        raise ValueError(f"boom on {self.x}")
 
 
-def _suicide(x: int) -> int:
-    os.kill(os.getpid(), signal.SIGKILL)
-    return x  # pragma: no cover -- never reached
+class _Suicide(_Square):
+    """Test-only spec that SIGKILLs the worker running it."""
+
+    def execute(self):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class _RecordingSink:
@@ -56,15 +74,15 @@ def test_map_matches_serial_execution():
     ]
 
 
-def test_generic_call_kind_and_input_order():
+def test_map_returns_results_in_input_order():
     with FabricScheduler(jobs=2) as scheduler:
-        values = scheduler.map(_square, list(range(10)))
+        values = scheduler.map(execute_spec, [_Square(x) for x in range(10)])
     assert values == [x * x for x in range(10)]
 
 
 def test_map_empty_is_trivial():
     with FabricScheduler(jobs=2) as scheduler:
-        assert scheduler.map(_square, []) == []
+        assert scheduler.map(execute_spec, []) == []
 
 
 def test_cross_job_dedupe_serves_duplicates_once():
@@ -120,13 +138,15 @@ def test_chaos_kill_converges_byte_identical(tmp_path):
     lines = [json.loads(line) for line in stream.read_text().splitlines()]
     assert len(lines) == len(specs)
     assert all(line["ok"] for line in lines)
-    assert all(line["kind"] == "spec" for line in lines)
+    assert sorted(line["label"] for line in lines) == sorted(
+        spec.label() for spec in specs
+    )
 
 
 def test_task_exception_is_terminal_not_retried():
     with FabricScheduler(jobs=2) as scheduler:
         with pytest.raises(FabricTaskError, match="boom on 1"):
-            scheduler.map(_boom, [1])
+            scheduler.map(execute_spec, [_Boom(1)])
         counters = scheduler.counters_snapshot()
     assert counters["tasks_failed"] == 1
     assert counters["tasks_retried"] == 0
@@ -141,7 +161,7 @@ def test_retry_budget_fails_worker_killing_task_cleanly():
         poll_interval=0.01,
     ) as scheduler:
         with pytest.raises(FabricTaskError, match="retry budget"):
-            scheduler.map(_suicide, [1], timeout=100)
+            scheduler.map(execute_spec, [_Suicide(1)], timeout=100)
         counters = scheduler.counters_snapshot()
     assert counters["leases_stolen"] == 3  # initial + 2 retries
     assert counters["tasks_retried"] == 2
@@ -154,13 +174,13 @@ def test_pool_death_without_respawn_raises_stalled():
         jobs=1, respawn=False, poll_interval=0.01,
     ) as scheduler:
         with pytest.raises(FabricStalledError):
-            scheduler.map(_suicide, [1], timeout=100)
+            scheduler.map(execute_spec, [_Suicide(1)], timeout=100)
 
 
 def test_obs_events_reach_sinks():
     sink = _RecordingSink()
     with FabricScheduler(jobs=1, sinks=[sink]) as scheduler:
-        scheduler.map(_square, [1, 2])
+        scheduler.map(execute_spec, [_Square(1), _Square(2)])
     kinds = {(e.type.value, e.kind) for e in sink.events}
     assert ("fabric_worker", "spawn") in kinds
     assert ("fabric_task", "submit") in kinds

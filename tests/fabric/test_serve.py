@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -118,10 +119,43 @@ def test_malformed_specs_get_400(server):
         {"workloads": ["queue"], "models": ["asap_rp"], "bogus": 1},
         {"workloads": ["no_such_workload"], "models": ["asap_rp"]},
         "not an object",
+        dict(SPEC, ops="many"),
+        dict(SPEC, ops=-3),
+        dict(SPEC, ops=0),
+        dict(SPEC, ops=True),
+        dict(SPEC, seed="x"),
+        dict(SPEC, threads=64),
+        dict(SPEC, threads=0),
+        dict(SPEC, threads=1.5),
     ):
         status, doc = _request(port, "POST", "/v1/experiments", bad)
         assert status == 400, bad
         assert "error" in doc
+    # nothing malformed reached the fabric
+    _, stats = _request(port, "GET", "/v1/stats")
+    assert stats["scheduler"]["tasks_submitted"] == 0
+
+
+def test_bad_content_length_gets_400_and_a_closed_connection(server):
+    """A Content-Length that is not a non-negative integer is answered
+    400 at once (not a dropped connection, not a read that blocks until
+    the client leaves), and the server hangs up after the reply."""
+    http, _ = server
+    port = http.server_address[1]
+    for length in (b"abc", b"-1"):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"POST /v1/experiments HTTP/1.1\r\n"
+                         b"Host: 127.0.0.1\r\n"
+                         b"Content-Length: " + length + b"\r\n\r\n")
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", reply
+        assert "Content-Length" in json.loads(body)["error"]
 
 
 def test_unknown_routes_and_jobs_get_404(server):

@@ -24,8 +24,8 @@ def _have(module: str) -> bool:
 def test_ruff_clean_on_typed_packages():
     proc = subprocess.run(
         [sys.executable, "-m", "ruff", "check", "src/repro/lint",
-         "src/repro/workloads", "src/repro/sim", "src/repro/bench",
-         "src/repro/axiom", "src/repro/litmus", "src/repro/report",
+         "src/repro/workloads", "src/repro/sim", "src/repro/axiom",
+         "src/repro/litmus", "src/repro/report",
          "src/repro/exp", "src/repro/fabric",
          "tests/lint", "tests/bench", "tests/axiom", "tests/litmus",
          "tests/report", "tests/exp", "tests/fabric"],
@@ -38,8 +38,8 @@ def test_ruff_clean_on_typed_packages():
 
 @pytest.mark.skipif(not _have("mypy"), reason="mypy not installed")
 @pytest.mark.parametrize(
-    "package", ["src/repro/lint", "src/repro/sim", "src/repro/bench",
-                "src/repro/axiom", "src/repro/litmus", "src/repro/report",
+    "package", ["src/repro/lint", "src/repro/sim", "src/repro/axiom",
+                "src/repro/litmus", "src/repro/report",
                 "src/repro/exp", "src/repro/fabric"]
 )
 def test_mypy_strict_on_typed_packages(package):
