@@ -22,9 +22,6 @@ workflow:
   axiomatic Px86/PTSO persistency model on a corpus of small litmus
   tests; any operationally-reachable state the axioms forbid is a
   simulator bug (exit 1).
-- ``ckpt``    -- create, inspect, or resume a serializable simulator
-  checkpoint (a canonical-JSON snapshot taken at a quiescent cycle
-  barrier); resuming reproduces the original run byte-for-byte.
 - ``sample``  -- SimPoint-style sampled simulation: fingerprint the op
   stream, cluster it into phases, simulate only phase representatives,
   extrapolate full-run statistics; ``--validate`` runs the full
@@ -81,21 +78,20 @@ def _cache(args) -> Optional[ResultCache]:
 
 
 def _fabric_executor(args):
-    """A FabricExecutor when ``--fabric`` was given, else None.
+    """The FabricExecutor that ``--jobs``, ``--queue``, ``--cache-dir``,
+    ``--stream`` and ``--chaos-kill`` describe (two workers by default).
 
-    None lets every driver fall back to its classic ``make_executor``
-    path, so ``--fabric`` is purely additive.
+    Commands that run without the fabric pass no executor, so their
+    drivers fall back to the classic ``make_executor`` path.
     """
-    if not getattr(args, "fabric", False):
-        return None
     from repro.fabric import FabricExecutor
 
     return FabricExecutor(
-        jobs=getattr(args, "jobs", None) or 2,
-        queue_dir=getattr(args, "queue", None),
-        cache_dir=getattr(args, "cache_dir", None),
-        stream_path=getattr(args, "stream", None),
-        chaos_kill_after=getattr(args, "chaos_kill", None),
+        jobs=args.jobs or 2,
+        queue_dir=args.queue,
+        cache_dir=args.cache_dir,
+        stream_path=args.stream,
+        chaos_kill_after=args.chaos_kill,
     )
 
 
@@ -267,18 +263,11 @@ def cmd_crashtest(args) -> int:
     from repro.crashtest import replay_failure, run_campaign
     from repro.workloads.registry import SUITE
 
-    if args.from_checkpoint and not args.replay:
-        print("crashtest: --from-checkpoint requires --replay",
-              file=sys.stderr)
-        return 2
     if args.replay:
         try:
-            report = replay_failure(
-                args.replay, from_checkpoint=args.from_checkpoint
-            )
+            report = replay_failure(args.replay)
         except ValueError as exc:
-            # e.g. a checkpoint of a different cell, or one whose
-            # quiescent point lands past the saved crash cycle.
+            # e.g. a file that is not a saved crash state.
             print(f"crashtest: {exc}", file=sys.stderr)
             return 2
         verdict = "reproduced" if report["reproduced"] else "NOT reproduced"
@@ -290,25 +279,14 @@ def cmd_crashtest(args) -> int:
             print(f"  generic: {v}")
         for v in report["oracle_violations"]:
             print(f"  oracle:  {v}")
-        anchored = report.get("anchored")
-        if anchored is not None:
-            averdict = (
-                "reproduced" if anchored["reproduced"] else "NOT reproduced"
-            )
-            print(f"  anchored re-simulation from "
-                  f"{anchored['checkpoint']} (barrier cycle "
-                  f"{anchored['barrier_cycle']}): {averdict}")
-            print(f"    crash cycle: {anchored['crash_cycle']}  "
-                  f"surviving media lines: {anchored['media_lines']}")
-            for v in anchored["generic_violations"]:
-                print(f"    generic: {v}")
-            for v in anchored["oracle_violations"]:
-                print(f"    oracle:  {v}")
-            return 0 if report["reproduced"] and anchored["reproduced"] else 1
         return 0 if report["reproduced"] else 1
 
     if not args.all and not args.workload:
         print("crashtest: provide a workload name or --all", file=sys.stderr)
+        return 2
+    if args.points < 1:
+        print(f"crashtest: --points must be at least 1, got {args.points}",
+              file=sys.stderr)
         return 2
     names = (
         [cls.name for cls in SUITE] if args.all else [args.workload]
@@ -337,7 +315,7 @@ def cmd_crashtest(args) -> int:
             cache=_cache(args),
             sinks=sinks,
             save_dir=args.save_failures,
-            executor=_fabric_executor(args),
+            executor=_fabric_executor(args) if args.fabric else None,
         )
     finally:
         if jsonl is not None:
@@ -408,7 +386,7 @@ def cmd_litmus(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        executor=_fabric_executor(args),
+        executor=_fabric_executor(args) if args.fabric else None,
     )
     if args.models:
         options.models = [resolve_model(m) for m in args.models]
@@ -442,62 +420,6 @@ def cmd_litmus(args) -> int:
             file=sys.stderr,
         )
     return 0 if gate_ok else 1
-
-
-def cmd_ckpt(args) -> int:
-    import json as _json
-
-    from repro.ckpt.api import (
-        CheckpointCell,
-        create_checkpoint,
-        describe_checkpoint,
-        resume_machine,
-    )
-    from repro.ckpt.codec import dumps_checkpoint, loads_checkpoint
-
-    if args.inspect:
-        with open(args.inspect) as handle:
-            meta, state = loads_checkpoint(handle.read())
-        print(_json.dumps(describe_checkpoint(meta, state), indent=2,
-                          sort_keys=True))
-        return 0
-
-    if args.resume:
-        with open(args.resume) as handle:
-            meta, state = loads_checkpoint(handle.read())
-        machine = resume_machine(meta, state)
-        result = machine.continue_run()
-        print(f"resumed {meta.get('workload')}/{meta.get('model')} from "
-              f"barrier cycle {meta.get('barrier_cycle')}")
-        print(f"  finished at cycle {result.runtime_cycles} "
-              f"({result.ops_executed} ops, "
-              f"{machine.engine.events_executed} events)")
-        return 0
-
-    if not args.workload:
-        print("ckpt: provide a workload name (or --inspect/--resume FILE)",
-              file=sys.stderr)
-        return 2
-    if args.at is None:
-        print("ckpt: --at CYCLE is required to create a checkpoint",
-              file=sys.stderr)
-        return 2
-    cell = CheckpointCell(
-        args.workload, args.model, ops_per_thread=args.ops, seed=args.seed,
-    )
-    made = create_checkpoint(cell, args.at)
-    if made is None:
-        print(f"ckpt: {args.workload}/{args.model} finished before cycle "
-              f"{args.at}; nothing to checkpoint", file=sys.stderr)
-        return 1
-    meta, state, _live = made
-    out = args.out or f"{args.workload}-{args.model}-{args.at}.ckpt.json"
-    with open(out, "w") as handle:
-        handle.write(dumps_checkpoint(meta, state))
-    summary = describe_checkpoint(meta, state)
-    print(f"wrote {out} (quiesced at cycle {summary['quiesced_at']}, "
-          f"{summary['events_executed']} events executed)")
-    return 0
 
 
 def cmd_sample(args) -> int:
@@ -623,17 +545,7 @@ def cmd_fabric(args) -> int:
         num_threads=args.threads,
         seeds=(args.seed,),
     )
-    executor = None
-    if not args.serial:
-        from repro.fabric import FabricExecutor
-
-        executor = FabricExecutor(
-            jobs=args.jobs or 2,
-            queue_dir=args.queue,
-            cache_dir=args.cache_dir,
-            stream_path=args.stream,
-            chaos_kill_after=args.chaos_kill,
-        )
+    executor = None if args.serial else _fabric_executor(args)
     outcome = run_plan(plan, cache=_cache(args), executor=executor)
     cells = [
         {
@@ -815,10 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--replay", metavar="FILE",
                       help="re-adjudicate a serialized failing state "
                       "(skips the sweep)")
-    p_ct.add_argument("--from-checkpoint", metavar="CKPT",
-                      help="with --replay: also re-simulate the failure "
-                      "from this checkpoint anchor (repro ckpt output) "
-                      "and re-adjudicate the resimulated state")
     p_ct.add_argument("--threads", type=int, default=4)
     p_ct.add_argument("--mcs", type=int, default=2)
     p_ct.add_argument("--ops", type=int, default=24,
@@ -873,28 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print unobserved (too-strong) states")
     _fabric_flags(p_lit)
     p_lit.set_defaults(func=cmd_litmus)
-
-    p_ckpt = sub.add_parser(
-        "ckpt",
-        help="create / inspect / resume a serializable checkpoint",
-    )
-    p_ckpt.add_argument("workload", nargs="?",
-                        help="workload to checkpoint (create mode)")
-    p_ckpt.add_argument("--model", choices=_MODEL_CHOICE_NAMES,
-                        default="asap_rp")
-    p_ckpt.add_argument("--at", type=int, metavar="CYCLE",
-                        help="quiescent barrier cycle to checkpoint at")
-    p_ckpt.add_argument("--out", metavar="PATH",
-                        help="checkpoint path (default: "
-                        "<workload>-<model>-<cycle>.ckpt.json)")
-    p_ckpt.add_argument("--inspect", metavar="FILE",
-                        help="print a checkpoint summary and exit")
-    p_ckpt.add_argument("--resume", metavar="FILE",
-                        help="resume a checkpoint and run to completion")
-    p_ckpt.add_argument("--ops", type=int, default=100,
-                        help="operations per thread")
-    p_ckpt.add_argument("--seed", type=int, default=7)
-    p_ckpt.set_defaults(func=cmd_ckpt)
 
     p_sample = sub.add_parser(
         "sample",

@@ -77,20 +77,5 @@ class CountingBloomFilter:
         """Number of elements currently counted (upper bound)."""
         return self._population
 
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize at a quiescent point (necessarily empty: every NACKed
-        flush has been retried and discarded its filter entry).  The index
-        memo is a pure function of line addresses and is rebuilt lazily."""
-        if self._population:
-            raise RuntimeError(
-                "cannot checkpoint a non-empty NACK bloom filter"
-            )
-        return {}
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        pass  # quiescent filters are empty.
-
 
 __all__ = ["CountingBloomFilter"]

@@ -114,25 +114,6 @@ class Cache:
     def __contains__(self, line: int) -> bool:
         return line in self._set_of(line)
 
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize every allocated set as an LRU-ordered [line, dirty]
-        list (order is load-bearing: it decides future evictions)."""
-        return {
-            "sets": [
-                [index, [[line, dirty] for line, dirty in cache_set.items()]]
-                for index, cache_set in self._sets.items()
-            ],
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self._sets = {}
-        for index, lines in state["sets"]:  # type: ignore[union-attr]
-            self._sets[int(index)] = OrderedDict(
-                (int(line), bool(dirty)) for line, dirty in lines
-            )
-
 
 class CacheHierarchy:
     """Private L1 + private L2 + shared LLC for one core.

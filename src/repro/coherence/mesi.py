@@ -208,44 +208,6 @@ class MESIDirectory:
         }
 
     # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize the full directory.  Per-line holder-dict order is
-        preserved: it determines the iteration order of invalidation /
-        downgrade lists on future transitions."""
-        return {
-            "lines": [
-                [
-                    line,
-                    [[core, state.value] for core, state in entry.states.items()],
-                    (
-                        [entry.last_writer.core, entry.last_writer.epoch_ts]
-                        if entry.last_writer is not None
-                        else None
-                    ),
-                ]
-                for line, entry in self._lines.items()
-            ],
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self._lines = {}
-        for line, states, writer in state["lines"]:  # type: ignore[union-attr]
-            entry = _LineEntry(
-                states={
-                    int(core): LineState(value) for core, value in states
-                },
-                last_writer=(
-                    OwnerInfo(core=int(writer[0]), epoch_ts=int(writer[1]))
-                    if writer is not None
-                    else None
-                ),
-            )
-            self._lines[int(line)] = entry
-
-    # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
 

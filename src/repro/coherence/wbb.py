@@ -11,7 +11,7 @@ waiting on and releases the line when the buffer flushes past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.obs.events import EventType
 from repro.sim.stats import StatsRegistry
@@ -75,20 +75,6 @@ class WriteBackBuffer:
 
     def holds(self, line: int) -> bool:
         return any(e.line == line for e in self._entries)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize at a quiescent point (necessarily empty: the persist
-        buffer drained, so every held eviction has been released)."""
-        if self._entries:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint a non-empty WBB"
-            )
-        return {}
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        pass  # quiescent WBBs are empty.
 
 
 __all__ = ["WBBEntry", "WriteBackBuffer"]

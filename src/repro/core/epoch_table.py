@@ -284,76 +284,6 @@ class EpochTable:
             for entry in self.entries.values()
         )
 
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize the table at a quiescent point.
-
-        Quiescence (every closed epoch committed, no blocked fences)
-        keeps the payload tiny: typically a single open, pristine entry
-        per core.  Entries are serialized generically anyway so the
-        invariant is checked at restore time rather than silently
-        assumed here.
-        """
-        if self._commit_waiters:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint with blocked dfences"
-            )
-        if len(self.space_waiter):
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint with ET space waiters"
-            )
-        entries = [
-            {
-                "ts": e.ts,
-                "closed": e.closed,
-                "prev": e.prev,
-                "next_ts": e.next_ts,
-                "strand": e.strand,
-                "unacked": e.unacked,
-                "dep": list(e.dep) if e.dep is not None else None,
-                "dep_resolved": e.dep_resolved,
-                "dependents": [list(d) for d in e.dependents],
-                "early_mcs": sorted(e.early_mcs),
-                "commit_acks_pending": e.commit_acks_pending,
-                "commit_sent": e.commit_sent,
-            }
-            for e in self.entries.values()
-        ]
-        return {
-            "current_ts": self.current_ts,
-            "committed_upto": self.committed_upto,
-            "committed_sparse": sorted(self._committed_sparse),
-            "strand_counter": self._strand_counter,
-            "entries": entries,
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`ckpt_state` output into a freshly-built table."""
-        self.current_ts = int(state["current_ts"])  # type: ignore[arg-type]
-        self.committed_upto = int(state["committed_upto"])  # type: ignore[arg-type]
-        self._committed_sparse = set(state["committed_sparse"])  # type: ignore[arg-type]
-        self._strand_counter = int(state["strand_counter"])  # type: ignore[arg-type]
-        self.entries.clear()
-        for raw in state["entries"]:  # type: ignore[union-attr]
-            entry = EpochEntry(
-                ts=int(raw["ts"]),
-                closed=bool(raw["closed"]),
-                prev=raw["prev"],
-                next_ts=raw["next_ts"],
-                strand=int(raw["strand"]),
-                unacked=int(raw["unacked"]),
-                dep=tuple(raw["dep"]) if raw["dep"] is not None else None,
-                dep_resolved=bool(raw["dep_resolved"]),
-                dependents=[(d[0], d[1]) for d in raw["dependents"]],
-                early_mcs=set(raw["early_mcs"]),
-                commit_acks_pending=int(raw["commit_acks_pending"]),
-                commit_sent=bool(raw["commit_sent"]),
-            )
-            self.entries[entry.ts] = entry
-
 
 class GlobalTSRegister:
     """HOPS's global timestamp register.
@@ -424,25 +354,6 @@ class GlobalTSRegister:
     def read_done_at(self) -> int:
         """Reserve a serialized read slot; returns its completion cycle."""
         return self._serialize()
-
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        if self._pending:
-            # pending publishes are carried by scheduled engine events,
-            # which a quiescent machine has already drained.
-            raise RuntimeError("cannot checkpoint with pending TS publishes")
-        return {
-            "committed": [[core, ts] for core, ts in self._committed.items()],
-            "busy_until": self._busy_until,
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self._committed = {
-            int(core): int(ts)
-            for core, ts in state["committed"]  # type: ignore[union-attr]
-        }
-        self._busy_until = int(state["busy_until"])  # type: ignore[arg-type]
 
 
 __all__ = ["EpochTable", "GlobalTSRegister"]

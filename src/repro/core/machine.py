@@ -84,11 +84,11 @@ class _PauseSentinel:
     The sampling pipeline's skip-wrappers yield it at measurement-window
     boundaries: the wrapper knows exactly where a window ends (it tracks
     lock depth and fast-forward position op by op), so letting it signal
-    the barrier is race-free where a precomputed executed-op target is
-    not -- the wrapper's dynamic lock deferral can legally shift window
-    edges after the target was computed.  A pause does not count as a
-    retired op.  :meth:`Machine.continue_to_pause` resumes the core
-    after the op that preceded the sentinel."""
+    the pause is race-free where a precomputed executed-op target would
+    not be -- the wrapper's dynamic lock deferral can legally shift
+    window edges after such a target was computed.  A pause does not
+    count as a retired op.  :meth:`Machine.continue_to_pause` resumes
+    the core after the op that preceded the sentinel."""
 
     __slots__ = ()
 
@@ -151,7 +151,7 @@ class _CoreUnit:
     """Drives one thread program through the event engine."""
 
     __slots__ = ("machine", "index", "program", "finished", "finish_time",
-                 "ops_executed", "parked", "park_time", "ops_target",
+                 "ops_executed", "parked", "park_time",
                  "_tracer", "_dispatch", "ofence_counter", "dfence_counter")
 
     def __init__(self, machine: "Machine", index: int, program: Program) -> None:
@@ -161,13 +161,10 @@ class _CoreUnit:
         self.finished = False
         self.finish_time: Optional[int] = None
         self.ops_executed = 0
-        #: set by the machine's barrier machinery: park (stop fetching)
-        #: once ``ops_executed`` reaches this count.  -1 parks immediately
-        #: (the cycle-barrier sentinel); None runs unhindered.
-        self.ops_target: Optional[int] = None
+        #: set while the core sits on a :data:`PAUSE`.
         self.parked = False
         #: cycle at which the core last parked (straggler-skew-free
-        #: window timing for the sampling pipeline; not serialized).
+        #: window timing for the sampling pipeline).
         self.park_time: Optional[int] = None
         # Snapshot the hot collaborators: cores are built after the tracer
         # is attached, so `advance` pays one local load instead of two
@@ -182,10 +179,6 @@ class _CoreUnit:
         self.machine.engine.schedule(0, self.advance)
 
     def advance(self) -> None:
-        target = self.ops_target
-        if target is not None and self.ops_executed >= target:
-            self.machine._park(self)
-            return
         try:
             op = next(self.program)
         except StopIteration:
@@ -200,9 +193,6 @@ class _CoreUnit:
             )
             return
         self.ops_executed += 1
-        retire_order = self.machine._retire_order
-        if retire_order is not None:
-            retire_order.append(self.index)
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
@@ -217,7 +207,6 @@ class _CoreUnit:
         def done() -> None:
             self.finished = True
             self.finish_time = self.machine.engine.now
-            self.machine._core_finished()
 
         path.on_program_end(done)
 
@@ -280,11 +269,8 @@ class Machine:
         self._mem_read_cycles = ns_to_cycles(config.nvm.read_latency_ns)
         self._inflight_flushes: Dict[int, object] = {}
         self._next_flush_seq = 1
-        self._cores_running = 0
-        self._crashed = False
         #: indices of parked cores, in parking order -- resuming them in
-        #: this order reproduces the event sequence an uninterrupted
-        #: barrier run would have produced.
+        #: this order keeps a paused run deterministic.
         self._parked_order: List[int] = []
         #: cycles charged per :data:`YIELD_TURN` (default free).  The
         #: sampling pipeline sets this nonzero so that warmed gaps
@@ -293,15 +279,9 @@ class Machine:
         #: then fire mid-gap instead of being frozen until the next
         #: window and polluting its deltas with phantom stalls.
         self.yield_turn_cycles = 0
-        #: pause-barrier mode: stop the engine (without draining) the
-        #: moment every core is parked or finished.
+        #: pause mode: stop the engine (without draining) the moment
+        #: every core is parked or finished.
         self._halt_when_parked = False
-        #: global op-retirement order (core index per retired op), recorded
-        #: only in checkpoint mode.  Workload generators may share mutable
-        #: state across threads, so restoring generator-internal state
-        #: requires replaying ``next()`` calls in the original global
-        #: interleaving, not per-core.
-        self._retire_order: Optional[List[int]] = None
 
         hardware = self.run_config.hardware
         self.vorpal = (
@@ -825,47 +805,32 @@ class Machine:
 
     def run(self, programs: Iterable[Program]) -> RunResult:
         """Run one program per core to completion and drain the system."""
-        self._start(programs)
+        self.start(programs)
         self.engine.run(max_events=self.run_config.max_events)
         return self._finish_result()
 
     def run_until(self, programs: Iterable[Program], crash_cycle: int) -> "Machine":
         """Run with a crash at ``crash_cycle``; returns self for the crash
         inspection API (:mod:`repro.core.crash`)."""
-        self._start(programs)
-        self.engine.run(until=crash_cycle, max_events=self.run_config.max_events)
-        self._crashed = True
+        self.start(programs)
+        return self.continue_until(crash_cycle)
+
+    def continue_until(self, cycle: int) -> "Machine":
+        """Advance a started machine to ``cycle`` and stop there.
+
+        The engine stops without touching its queue, so a later call
+        carries on exactly as one run straight to the later cycle would
+        have; :func:`repro.core.crash.crash_at_each` relies on this."""
+        if cycle < self.engine.now:
+            raise ValueError(
+                f"cycle {cycle} precedes the current cycle {self.engine.now}"
+            )
+        self.engine.run(until=cycle, max_events=self.run_config.max_events)
         return self
 
     # ------------------------------------------------------------------
-    # quiescent barriers + checkpointing
+    # pauses (the sampling pipeline's measurement windows)
     # ------------------------------------------------------------------
-    #
-    # An arbitrary-cycle snapshot is impossible to serialize -- the event
-    # queue holds closures.  Instead the machine supports *quiescent
-    # barriers* (gem5's "drain" discipline): run to a target cycle, then
-    # park every core at its next op boundary and let the event queue
-    # drain.  At the quiescent point the dynamic state is empty (persist
-    # buffers, WPQs, recovery tables, NACK filters, write-back buffers,
-    # in-flight flushes) and everything else is plain data that
-    # :meth:`snapshot` can serialize.  ``(run_to_barrier -> snapshot ->
-    # resume -> continue)`` is event-for-event identical to
-    # ``(run_to_barrier -> continue)`` in the same process.
-
-    def run_to_barrier(self, programs: Iterable[Program], cycle: int) -> bool:
-        """Run to ``cycle``, then park + drain to a quiescent point.
-
-        Returns False when the run completed before the barrier (the
-        machine is then finished; call :meth:`continue_run` for the
-        result), True when a quiescent barrier was established."""
-        self._retire_order = []
-        self._start(programs)
-        return self._quiesce_at(cycle)
-
-    def continue_to_barrier(self, cycle: int) -> bool:
-        """Resume parked cores and quiesce again at a later ``cycle``."""
-        self._resume_cores()
-        return self._quiesce_at(cycle)
 
     def continue_run(self) -> RunResult:
         """Resume parked cores and run to completion."""
@@ -873,19 +838,6 @@ class Machine:
         self._resume_cores()
         self.engine.run(max_events=self.run_config.max_events)
         return self._finish_result()
-
-    def continue_until(self, crash_cycle: int) -> "Machine":
-        """Resume parked cores and crash at ``crash_cycle`` (which must
-        not precede the quiescent point)."""
-        if crash_cycle < self.engine.now:
-            raise ValueError(
-                f"crash cycle {crash_cycle} precedes the quiescent point "
-                f"at cycle {self.engine.now}"
-            )
-        self._resume_cores()
-        self.engine.run(until=crash_cycle, max_events=self.run_config.max_events)
-        self._crashed = True
-        return self
 
     def run_to_pause(self, programs: Iterable[Program]) -> None:
         """Run until every core parked on :data:`PAUSE` (or finished).
@@ -895,10 +847,9 @@ class Machine:
         occupancy, pending flushes, open epochs) carries across the
         boundary exactly as it would mid-run; draining here would empty
         the persist buffers the warm-up just filled and charge a
-        drain's worth of cycles into every measured window.  Unlike the
-        cycle barrier this also forces no epoch splits."""
+        drain's worth of cycles into every measured window."""
         self._halt_when_parked = True
-        self._start(programs)
+        self.start(programs)
         self.engine.run(max_events=self.run_config.max_events)
         self._check_paused()
 
@@ -915,7 +866,7 @@ class Machine:
         ``engine.now`` at a pause is the *last* core's arrival; windows
         timed with it systematically over-count cycles by the straggler
         wait, because in an unpaused run the fast cores would overlap
-        into the next interval instead of idling at the barrier.  The
+        into the next interval instead of idling at the pause.  The
         per-core arrival mean removes that skew, and mean-deltas still
         telescope to the mean completion time over a full run."""
         times = [
@@ -939,33 +890,6 @@ class Machine:
                 "without a PAUSE (deadlocked lock waiter?)"
             )
 
-    def _quiesce_at(self, cycle: int) -> bool:
-        if cycle < self.engine.now:
-            raise ValueError(
-                f"barrier cycle {cycle} precedes current cycle "
-                f"{self.engine.now}"
-            )
-        self.engine.run(until=cycle, max_events=self.run_config.max_events)
-        if self._cores_running == 0 and self.engine.pending() == 0:
-            return False  # finished before the barrier
-        self._begin_parking()
-        self._drain_to_quiesce()
-        return True
-
-    def _begin_parking(self) -> None:
-        # Park every unfinished core at its next op boundary, and close
-        # its current epoch so the drain can commit it.  (An op already
-        # in flight -- e.g. a multi-line store mid-walk -- finishes into
-        # the post-split epoch; the split is a deterministic ordering
-        # strengthening, identical on both sides of a snapshot/resume
-        # comparison.)
-        for core in self.cores:
-            if not core.finished:
-                core.ops_target = -1
-        for core in self.cores:
-            if not core.finished:
-                self.paths[core.index].split_epoch()
-
     def _park(self, core: _CoreUnit) -> None:
         core.parked = True
         core.park_time = self.engine.now
@@ -978,208 +902,12 @@ class Machine:
     def _resume_cores(self) -> None:
         order, self._parked_order = self._parked_order, []
         for core in self.cores:
-            core.ops_target = None
             core.parked = False
         for index in order:
             self.engine.schedule(0, self.cores[index].advance)
 
-    def _drain_to_quiesce(self) -> None:
-        max_events = self.run_config.max_events
-        self.engine.run(max_events=max_events)
-        # Writes that landed in a post-split open epoch (in-flight op
-        # continuations) can leave undo records guarded by an epoch that
-        # never closes; split again until the recovery tables are clear.
-        for _ in range(8):
-            if not self._needs_commit_round():
-                return
-            for core in self.cores:
-                if not core.finished:
-                    self.paths[core.index].split_epoch()
-            self.engine.run(max_events=max_events)
-        raise RuntimeError("machine failed to quiesce")
-
-    def _needs_commit_round(self) -> bool:
-        for rt in self.recovery_tables:
-            if rt is not None and len(rt):
-                return True
-        return any(not path.is_drained() for path in self.paths)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Serialize the machine at a quiescent barrier.
-
-        Returns a JSON-able dict; see :mod:`repro.ckpt` for the versioned
-        file envelope built around it."""
-        if self.engine.pending():
-            raise RuntimeError("cannot snapshot with pending events")
-        if self._inflight_flushes:
-            raise RuntimeError("cannot snapshot with in-flight flushes")
-        if self._crashed:
-            raise RuntimeError("cannot snapshot a crashed machine")
-        if not self.cores:
-            raise RuntimeError("cannot snapshot before running")
-        if self._retire_order is None:
-            raise RuntimeError(
-                "machine was not run in checkpoint mode "
-                "(use run_to_barrier)"
-            )
-        for core in self.cores:
-            if core.finished or core.parked:
-                continue
-            if not any(core in lock.waiters for lock in self._locks.values()):
-                raise RuntimeError(
-                    f"core {core.index} neither parked nor lock-blocked"
-                )
-        from repro.crashtest.serialize import log_to_dict
-
-        return {
-            "engine": self.engine.ckpt_state(),
-            "stats": self.stats.ckpt_state(),
-            "log": log_to_dict(self.log),
-            "directory": self.directory.ckpt_state(),
-            "llc": self.llc.ckpt_state(),
-            "hierarchies": [
-                {"l1": h.l1.ckpt_state(), "l2": h.l2.ckpt_state()}
-                for h in self.hierarchies
-            ],
-            "wbbs": [wbb.ckpt_state() for wbb in self.wbbs],
-            "paths": [path.ckpt_state() for path in self.paths],
-            "global_ts": self.global_ts.ckpt_state(),
-            "vorpal": (
-                self.vorpal.ckpt_state() if self.vorpal is not None else None
-            ),
-            "mcs": [mc.ckpt_state() for mc in self.mcs],
-            "recovery_tables": [
-                rt.ckpt_state() if rt is not None else None
-                for rt in self.recovery_tables
-            ],
-            "blooms": [
-                mc.bloom_filter.ckpt_state()
-                if mc.bloom_filter is not None
-                else None
-                for mc in self.mcs
-            ],
-            "cores": [
-                {
-                    "index": c.index,
-                    "ops_executed": c.ops_executed,
-                    "finished": c.finished,
-                    "finish_time": c.finish_time,
-                    "parked": c.parked,
-                }
-                for c in self.cores
-            ],
-            "locks": [
-                [
-                    lock_id,
-                    lock.holder,
-                    [w.index for w in lock.waiters],
-                    list(lock.last_release) if lock.last_release else None,
-                ]
-                for lock_id, lock in self._locks.items()
-            ],
-            "next_write_id": self._next_write_id,
-            "next_flush_seq": self._next_flush_seq,
-            "parked_order": list(self._parked_order),
-            "cores_running": self._cores_running,
-            "retire_order": list(self._retire_order),
-        }
-
-    @classmethod
-    def resume(
-        cls,
-        config: MachineConfig,
-        run_config: RunConfig,
-        programs: Iterable[Program],
-        state: Dict[str, object],
-        sinks: Optional[Iterable[object]] = None,
-    ) -> "Machine":
-        """Rebuild a machine from :meth:`snapshot` output.
-
-        ``programs`` must be freshly built generators identical to the
-        originals.  They are fast-forwarded (without dispatching) by
-        replaying ``next()`` calls in the checkpoint's recorded global
-        retirement order, which reproduces all generator-internal state
-        -- per-thread PRNGs *and* mutable state shared across thread
-        generators -- exactly."""
-        machine = cls(config, run_config=run_config, sinks=sinks)
-        machine._restore(programs, state)
-        return machine
-
-    def _restore(self, programs: Iterable[Program], state: Dict[str, object]) -> None:
-        if self.cores:
-            raise RuntimeError("machine already ran; build a fresh one")
-        from repro.crashtest.serialize import log_from_dict
-
-        self.stats.ckpt_restore(state["stats"])  # type: ignore[arg-type]
-        self.engine.ckpt_restore(state["engine"])  # type: ignore[arg-type]
-        self.log = log_from_dict(state["log"])  # type: ignore[arg-type]
-        self.directory.ckpt_restore(state["directory"])  # type: ignore[arg-type]
-        self.llc.ckpt_restore(state["llc"])  # type: ignore[arg-type]
-        for hier_state, hierarchy in zip(state["hierarchies"], self.hierarchies):  # type: ignore[arg-type]
-            hierarchy.l1.ckpt_restore(hier_state["l1"])
-            hierarchy.l2.ckpt_restore(hier_state["l2"])
-        for wbb_state, wbb in zip(state["wbbs"], self.wbbs):  # type: ignore[arg-type]
-            wbb.ckpt_restore(wbb_state)
-        for path_state, path in zip(state["paths"], self.paths):  # type: ignore[arg-type]
-            path.ckpt_restore(path_state)
-        self.global_ts.ckpt_restore(state["global_ts"])  # type: ignore[arg-type]
-        if self.vorpal is not None:
-            self.vorpal.ckpt_restore(state["vorpal"])  # type: ignore[arg-type]
-        for mc_state, mc in zip(state["mcs"], self.mcs):  # type: ignore[arg-type]
-            mc.ckpt_restore(mc_state)
-        for rt_state, rt in zip(state["recovery_tables"], self.recovery_tables):  # type: ignore[arg-type]
-            if rt is not None and rt_state is not None:
-                rt.ckpt_restore(rt_state)
-        for bloom_state, mc in zip(state["blooms"], self.mcs):  # type: ignore[arg-type]
-            if mc.bloom_filter is not None and bloom_state is not None:
-                mc.bloom_filter.ckpt_restore(bloom_state)
-        programs = list(programs)
-        core_states = state["cores"]
-        if len(programs) != len(core_states):  # type: ignore[arg-type]
-            raise ValueError(
-                f"{len(programs)} programs for {len(core_states)} "  # type: ignore[arg-type]
-                f"checkpointed cores"
-            )
-        for core_state, program in zip(core_states, programs):  # type: ignore[arg-type]
-            core = _CoreUnit(self, int(core_state["index"]), program)
-            core.ops_executed = int(core_state["ops_executed"])
-            core.finished = bool(core_state["finished"])
-            finish_time = core_state["finish_time"]
-            core.finish_time = (
-                int(finish_time) if finish_time is not None else None
-            )
-            core.parked = bool(core_state["parked"])
-            self.cores.append(core)
-        retire_order = [int(i) for i in state["retire_order"]]  # type: ignore[union-attr]
-        replayed = [0] * len(self.cores)
-        for index in retire_order:
-            next(self.cores[index].program)
-            replayed[index] += 1
-        mismatched = [
-            c.index for c in self.cores if replayed[c.index] != c.ops_executed
-        ]
-        if mismatched:
-            raise ValueError(
-                f"retirement order inconsistent with per-core op counts "
-                f"for cores {mismatched}"
-            )
-        self._retire_order = retire_order
-        for lock_id, holder, waiters, last_release in state["locks"]:  # type: ignore[union-attr]
-            self._locks[int(lock_id)] = _Lock(
-                holder=int(holder) if holder is not None else None,
-                waiters=[self.cores[int(i)] for i in waiters],
-                last_release=(
-                    (int(last_release[0]), int(last_release[1]))
-                    if last_release is not None
-                    else None
-                ),
-            )
-        self._next_write_id = int(state["next_write_id"])  # type: ignore[arg-type]
-        self._next_flush_seq = int(state["next_flush_seq"])  # type: ignore[arg-type]
-        self._parked_order = [int(i) for i in state["parked_order"]]  # type: ignore[union-attr]
-        self._cores_running = int(state["cores_running"])  # type: ignore[arg-type]
-
-    def _start(self, programs: Iterable[Program]) -> None:
+    def start(self, programs: Iterable[Program]) -> None:
+        """Load one program per core; nothing runs until the engine does."""
         if self.cores:
             raise RuntimeError("machine already ran; build a fresh one")
         programs = list(programs)
@@ -1191,10 +919,6 @@ class Machine:
             core = _CoreUnit(self, index, program)
             self.cores.append(core)
             core.start()
-        self._cores_running = len(self.cores)
-
-    def _core_finished(self) -> None:
-        self._cores_running -= 1
 
     def _finish_result(self) -> RunResult:
         unfinished = [c.index for c in self.cores if not c.finished]

@@ -258,16 +258,6 @@ class PersistencePath:
     def is_drained(self) -> bool:
         return True
 
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize the path at a quiescent point.  Subclasses extend
-        with their persist buffer / epoch table state."""
-        return {"ts": self._ts}
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self._ts = int(state["ts"])  # type: ignore[arg-type]
-
 
 class EADRPath(PersistencePath):
     """eADR / BBB: the whole cache hierarchy is battery-backed.
@@ -393,15 +383,6 @@ class BaselinePath(PersistencePath):
 
     def is_drained(self) -> bool:
         return self.pb.empty
-
-    def ckpt_state(self) -> Dict[str, object]:
-        state = super().ckpt_state()
-        state["pb"] = self.pb.ckpt_state()
-        return state
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        super().ckpt_restore(state)
-        self.pb.ckpt_restore(state["pb"])  # type: ignore[arg-type]
 
 
 class BufferedPath(PersistencePath):
@@ -559,17 +540,6 @@ class BufferedPath(PersistencePath):
     def is_drained(self) -> bool:
         return self.pb.empty and self.et.all_committed()
 
-    def ckpt_state(self) -> Dict[str, object]:
-        state = super().ckpt_state()
-        state["et"] = self.et.ckpt_state()
-        state["pb"] = self.pb.ckpt_state()
-        return state
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        super().ckpt_restore(state)
-        self.et.ckpt_restore(state["et"])  # type: ignore[arg-type]
-        self.pb.ckpt_restore(state["pb"])  # type: ignore[arg-type]
-
 
 class HOPSPath(BufferedPath):
     """HOPS: conservative flushing + global-TS-register polling."""
@@ -628,17 +598,6 @@ class HOPSPath(BufferedPath):
             )
         else:
             self._polling = False
-
-    def ckpt_state(self) -> Dict[str, object]:
-        if self._polling:
-            # the poll loop is carried by scheduled events, which a
-            # quiescent machine has drained (it exits once every
-            # dependency is resolved).
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint with the HOPS poll "
-                "loop active"
-            )
-        return super().ckpt_state()
 
 
 class ASAPPath(BufferedPath):
@@ -747,15 +706,6 @@ class VorpalPath(BufferedPath):
         self.coordinator.register_epoch(
             self.core, self.et.current_ts, tuple(self.vc)
         )
-
-    def ckpt_state(self) -> Dict[str, object]:
-        state = super().ckpt_state()
-        state["vc"] = list(self.vc)
-        return state
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        super().ckpt_restore(state)
-        self.vc = [int(v) for v in state["vc"]]  # type: ignore[union-attr]
 
 
 class ASAPNoUndoPath(ASAPPath):

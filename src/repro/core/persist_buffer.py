@@ -357,37 +357,6 @@ class PersistBuffer:
                 self._blocked_epoch = None
             self._blocked_since = None
 
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize the buffer at a quiescent point (necessarily empty:
-        every epoch has committed, so every entry has been ACKed and
-        removed).  Only the sequence allocator and the conservative-mode
-        horizon survive quiescence."""
-        if self.entries or self._inflight or self._port_busy:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint a non-empty persist buffer"
-            )
-        if len(self.space_waiter) or len(self.drain_waiter):
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint with PB waiters"
-            )
-        if self._blocked_since is not None:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint mid blocked interval"
-            )
-        return {
-            "seq": self._seq,
-            "conservative_until_ts": self.conservative_until_ts,
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self._seq = int(state["seq"])  # type: ignore[arg-type]
-        raw = state["conservative_until_ts"]
-        self.conservative_until_ts = int(raw) if raw is not None else None  # type: ignore[arg-type]
-
     def finish(self, now: int) -> None:
         """Close out accounting at the end of a run."""
         if self._blocked_since is not None:

@@ -230,24 +230,6 @@ class RecoveryTable:
         """(line, safe value) pairs for the crash drain (Section V-E)."""
         return [(r.line, r.safe_value) for r in self._undo.values()]
 
-    # -- checkpointing ----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize at a quiescent point.
-
-        Quiescence empties the table: parking closes every epoch, all
-        closed epochs commit during the drain, and commits delete their
-        undo/delay records.  Only the high-water mark survives.
-        """
-        if self._undo or self._delay:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint a non-empty recovery table"
-            )
-        return {"max_occupancy": self.max_occupancy}
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self.max_occupancy = int(state["max_occupancy"])  # type: ignore[arg-type]
-
     # -- inspection -------------------------------------------------------
 
     def undo_for(self, line: int) -> Optional[UndoRecord]:

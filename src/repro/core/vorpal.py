@@ -165,34 +165,5 @@ class VorpalCoordinator:
     def pending_writes(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize at a quiescent point: the ordering queues are empty
-        (everything durable) and the published view has caught up."""
-        if self.pending_writes():
-            raise RuntimeError(
-                "cannot checkpoint with writes in vorpal ordering queues"
-            )
-        if self._broadcast_scheduled:
-            raise RuntimeError(
-                "cannot checkpoint with a vorpal broadcast in flight"
-            )
-        return {
-            "tags": [
-                [core, ts, list(vc)] for (core, ts), vc in self._tags.items()
-            ],
-            "durable": list(self._durable),
-            "published": list(self._published),
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self._tags = {
-            (int(core), int(ts)): tuple(vc)
-            for core, ts, vc in state["tags"]  # type: ignore[union-attr]
-        }
-        self._durable = [int(v) for v in state["durable"]]  # type: ignore[union-attr]
-        self._published = [int(v) for v in state["published"]]  # type: ignore[union-attr]
-
 
 __all__ = ["TAG_BITS_PER_ENTRY", "VorpalCoordinator"]

@@ -2,17 +2,18 @@
 
 For any registry workload and any hardware model, this package
 enumerates crash points (every epoch-commit boundary plus
-stratified-random mid-epoch cycles, deterministically seeded), crashes a
-fresh simulation at each (:func:`repro.core.crash.run_and_crash`),
-adjudicates the surviving media image against the generic Theorem-2
-checker *and* the workload's semantic ``recovery_oracle()``, and -- on a
-violation -- minimizes the failure to the smallest crash cycle and media
-delta, serialized to JSON for replay.
+stratified-random mid-epoch cycles, deterministically seeded), crashes
+one simulation of the cell at each in turn
+(:func:`repro.core.crash.crash_at_each`), adjudicates every surviving
+media image against the generic Theorem-2 checker *and* the workload's
+semantic ``recovery_oracle()``, and -- on a violation -- minimizes the
+failure to the smallest crash cycle and media delta, serialized to JSON
+for replay.
 
 Layout:
 
 - :mod:`repro.crashtest.points` -- crash-point enumeration
-- :mod:`repro.crashtest.campaign` -- specs, fan-out driver, reports
+- :mod:`repro.crashtest.campaign` -- cell specs, fan-out driver, reports
 - :mod:`repro.crashtest.minimize` -- cycle bisection + media shrinking
 - :mod:`repro.crashtest.serialize` -- exact CrashState <-> JSON
 
@@ -23,8 +24,8 @@ from repro.crashtest.campaign import (
     CRASHTEST_SCHEMA_VERSION,
     CampaignReport,
     CellReport,
+    CrashCellSpec,
     CrashPointResult,
-    CrashPointSpec,
     adjudicate,
     replay_failure,
     run_campaign,
@@ -58,8 +59,8 @@ __all__ = [
     "CampaignReport",
     "CellReport",
     "CommitCollector",
+    "CrashCellSpec",
     "CrashPointResult",
-    "CrashPointSpec",
     "MinimizedFailure",
     "ReferenceRun",
     "STATE_KIND",

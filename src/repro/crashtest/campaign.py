@@ -1,21 +1,23 @@
 """The crash-sweep campaign engine.
 
 One **campaign** = (workloads x models) cells; one **cell** = a
-deterministic set of crash points (see :mod:`repro.crashtest.points`),
-each re-simulated from scratch, crashed with
-:func:`repro.core.crash.crash_machine`, and adjudicated against:
+deterministic set of crash points (see :mod:`repro.crashtest.points`).
+A cell is simulated once: :func:`repro.core.crash.crash_at_each` runs
+its machine through the crash cycles in ascending order and, at each,
+adjudicates the crash image against:
 
 - the generic Theorem-2 checker
   (:func:`repro.verify.consistency.check_consistency`), and
 - the workload's semantic ``recovery_oracle()``
   (:meth:`repro.workloads.base.Workload.recovery_oracle`).
 
-Crash points fan out and cache exactly like experiment cells: a
-:class:`CrashPointSpec` is a :class:`~repro.exp.spec.RunSpec` plus a
-crash cycle, run through :func:`~repro.exp.spec.run_specs`, and its
-:class:`CrashPointResult` is a small picklable record.  On a violation
-the campaign minimizes the failure (:mod:`repro.crashtest.minimize`)
-and serializes a replayable :class:`~repro.core.crash.CrashState`.
+Cells fan out and cache exactly like experiment cells: a
+:class:`CrashCellSpec` is a :class:`~repro.exp.spec.RunSpec` plus a
+crash-point budget, run through :func:`~repro.exp.spec.run_specs`, and
+its result is the cell's reference run plus one small picklable
+:class:`CrashPointResult` per point.  On a violation the campaign
+minimizes the failure (:mod:`repro.crashtest.minimize`) and serializes
+a replayable :class:`~repro.core.crash.CrashState`.
 
 Reports are **canonical**: same spec + same seed = byte-identical
 ``to_dict()`` JSON, whether results came fresh, from the cache, or from
@@ -27,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.api import PMAllocator
-from repro.core.crash import CrashState, run_and_crash
-from repro.core.models import RP_MODELS, ModelSpec, resolve_model
+from repro.core.api import PMAllocator, Program
+from repro.core.crash import CrashState, crash_at_each, run_and_crash
+from repro.core.models import RP_MODELS, ModelSpec
 from repro.exp.executors import make_executor
 from repro.exp.spec import RunSpec, jsonable, run_specs
 from repro.obs.events import Event, EventType
@@ -47,8 +49,9 @@ from repro.crashtest.points import (
 )
 from repro.crashtest.serialize import dumps_state
 
-#: participates in every CrashPointSpec key; bump when adjudication or
-#: crash semantics change in a way that invalidates cached verdicts.
+#: participates in every CrashCellSpec key and in the seed of every
+#: cell's crash-point enumeration; bump when adjudication or crash
+#: semantics change in a way that invalidates cached verdicts.
 CRASHTEST_SCHEMA_VERSION = 1
 
 
@@ -69,21 +72,21 @@ def adjudicate(state: CrashState, workload: Workload) -> Tuple[List[str], List[s
 
 
 # ---------------------------------------------------------------------------
-# one crash point
+# one crash cell
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CrashPointSpec(RunSpec):
-    """One fully-specified fault injection: a :class:`RunSpec` cell plus
-    the cycle at which it crashes."""
+class CrashCellSpec(RunSpec):
+    """One (workload, model) crash cell: a :class:`RunSpec` plus how many
+    crash points to enumerate for it."""
 
-    crash_cycle: int = 0
+    points: int = 50
 
     def __init__(
         self,
         workload: str,
         model: Union[str, ModelSpec],
-        crash_cycle: int,
+        points: int,
         machine: Optional[MachineConfig] = None,
         ops_per_thread: Optional[int] = None,
         num_threads: Optional[int] = None,
@@ -93,58 +96,34 @@ class CrashPointSpec(RunSpec):
             workload, model, machine=machine, ops_per_thread=ops_per_thread,
             num_threads=num_threads, seed=seed,
         )
-        object.__setattr__(self, "crash_cycle", int(crash_cycle))
+        object.__setattr__(self, "points", int(points))
 
-    def simulate(self, crash_cycle: Optional[int] = None) -> CrashState:
-        """Fresh run of this cell, crashed at ``crash_cycle``."""
-        workload = self.build_workload()
+    def programs(self) -> List[Program]:
         threads = self.num_threads or self.machine.num_cores
-        programs = workload.programs(PMAllocator(), threads)
+        return self.build_workload().programs(PMAllocator(), threads)
+
+    def simulate(self, crash_cycle: int) -> CrashState:
+        """Fresh run of this cell, crashed at ``crash_cycle`` (what
+        minimization bisects)."""
         return run_and_crash(
-            self.machine,
-            self.run_config(),
-            programs,
-            self.crash_cycle if crash_cycle is None else crash_cycle,
+            self.machine, self.run_config(), self.programs(), crash_cycle
         )
 
-    def simulate_from_checkpoint(
-        self,
-        ckpt_meta: dict,
-        ckpt_state: dict,
-        crash_cycle: Optional[int] = None,
-    ) -> CrashState:
-        """Resume a checkpoint of this cell and crash past it.
-
-        The fast-forward anchor for dense crash sweeps: checkpoint once
-        at a quiescent barrier, then re-simulate only ``[barrier,
-        crash_cycle]`` per point instead of the whole prefix.  The
-        anchored trajectory is event-for-event identical to a cold run
-        that passed through the *same* barrier (the equivalence the
-        ``tests/ckpt`` suite pins); note the barrier itself drains the
-        machine, so it is a different -- equally valid -- trajectory
-        from a barrier-free cold run.
-        """
-        from repro.ckpt.api import CheckpointCell, resume_machine
-        from repro.core.crash import crash_machine
-
-        cell = CheckpointCell.from_meta(ckpt_meta)
-        if (
-            cell.workload != self.workload
-            or resolve_model(cell.model).name != self.model.name
-            or cell.seed != self.seed
-            or cell.ops_per_thread != self.ops_per_thread
-        ):
-            raise ValueError(
-                f"checkpoint is for {cell.workload}/{cell.model}"
-                f"/ops={cell.ops_per_thread}/seed={cell.seed}, not "
-                f"{self.workload}/{self.model.name}"
-                f"/ops={self.ops_per_thread}/seed={self.seed}"
-            )
-        machine = resume_machine(ckpt_meta, ckpt_state)
-        machine.continue_until(
-            self.crash_cycle if crash_cycle is None else crash_cycle
-        )
-        return crash_machine(machine)
+    def crash_cycles(self, reference: ReferenceRun) -> List[int]:
+        """The cell's crash points.  Their seed is this identity, which
+        predates cell specs: keep it as it is, or every cycle moves."""
+        identity = {
+            "schema": CRASHTEST_SCHEMA_VERSION,
+            "workload": self.workload,
+            "hardware": self.model.hardware.value,
+            "persistency": self.model.persistency.value,
+            "machine": jsonable(self.machine),
+            "ops_per_thread": self.ops_per_thread,
+            "num_threads": self.num_threads,
+            "seed": self.seed,
+            "points": self.points,
+        }
+        return enumerate_crash_points(reference, self.points, identity)
 
     # -- identity -----------------------------------------------------------
 
@@ -152,28 +131,42 @@ class CrashPointSpec(RunSpec):
         return {
             **super().describe(),
             "schema": CRASHTEST_SCHEMA_VERSION,
-            "kind": "crashtest-point",
-            "crash_cycle": self.crash_cycle,
+            "kind": "crashtest-cell",
+            "points": self.points,
         }
 
     def label(self) -> str:
         return (
             f"crash:{self.workload}/{self.model.name}"
-            f"@{self.crash_cycle}/seed{self.seed}"
+            f"@p{self.points}/seed{self.seed}"
         )
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self) -> "CrashPointResult":
-        state = self.simulate()
-        generic, oracle = adjudicate(state, self.build_workload())
-        return CrashPointResult(
-            crash_cycle=self.crash_cycle,
-            generic_violations=tuple(generic),
-            oracle_violations=tuple(oracle),
-            surviving_lines=len(state.media),
-            writes_logged=len(state.log.writes),
+    def execute(self) -> Tuple[ReferenceRun, List[CrashPointResult]]:
+        """Trace the reference run, enumerate the crash points, then crash
+        one simulation at each in cycle order and adjudicate it there."""
+        reference = trace_reference(
+            self.build_workload(), self.machine, self.run_config(),
+            num_threads=self.num_threads,
         )
+        oracle = self.build_workload()
+
+        def judge(state: CrashState) -> CrashPointResult:
+            generic, violations = adjudicate(state, oracle)
+            return CrashPointResult(
+                crash_cycle=state.crash_cycle,
+                generic_violations=tuple(generic),
+                oracle_violations=tuple(violations),
+                surviving_lines=len(state.media),
+                writes_logged=len(state.log.writes),
+            )
+
+        results = crash_at_each(
+            self.machine, self.run_config(), self.programs(),
+            self.crash_cycles(reference), judge,
+        )
+        return reference, results
 
 
 @dataclass(frozen=True)
@@ -247,8 +240,8 @@ class CampaignReport:
     cells: List[CellReport]
     points_requested: int
     seed: int
-    #: cache bookkeeping -- excluded from to_dict() so reports stay
-    #: byte-identical whether results were fresh or cached.
+    #: cache bookkeeping, counted in cells -- excluded from to_dict() so
+    #: reports stay byte-identical whether results were fresh or cached.
     cache_hits: int = 0
     cache_misses: int = 0
     saved_failures: List[str] = field(default_factory=list)
@@ -324,72 +317,39 @@ def run_campaign(
     :class:`repro.fabric.FabricExecutor` runs the sweep on the
     fault-tolerant fabric with byte-identical output.
     """
+    if points < 1:
+        raise ValueError(
+            f"a crash campaign needs at least 1 point per cell, got {points}"
+        )
     machine = machine or MachineConfig()
-    specs_by_cell: Dict[Tuple[str, str], List[CrashPointSpec]] = {}
-    references: Dict[Tuple[str, str], ReferenceRun] = {}
-    resolved = [resolve_model(m) for m in (models or RP_MODELS)]
+    specs = [
+        CrashCellSpec(
+            name, model, points, machine=machine,
+            ops_per_thread=ops_per_thread, num_threads=num_threads,
+            seed=seed,
+        )
+        for name in workloads
+        for model in (models or RP_MODELS)
+    ]
+    outcomes, hits = run_specs(specs, executor or make_executor(jobs), cache)
 
-    # phase 1: reference runs + deterministic crash-point enumeration
-    for name in workloads:
-        for model in resolved:
-            workload = get_workload(name, ops_per_thread=ops_per_thread,
-                                    seed=seed)
-            reference = trace_reference(
-                workload, machine, model.run_config(seed=seed),
-                num_threads=num_threads,
-            )
-            identity = {
-                "schema": CRASHTEST_SCHEMA_VERSION,
-                "workload": name,
-                "hardware": model.hardware.value,
-                "persistency": model.persistency.value,
-                "machine": jsonable(machine),
-                "ops_per_thread": ops_per_thread,
-                "num_threads": num_threads,
-                "seed": seed,
-                "points": points,
-            }
-            cycles = enumerate_crash_points(reference, points, identity)
-            key = (name, model.name)
-            references[key] = reference
-            specs_by_cell[key] = [
-                CrashPointSpec(
-                    workload=name, model=model, crash_cycle=cycle,
-                    machine=machine, ops_per_thread=ops_per_thread,
-                    num_threads=num_threads, seed=seed,
-                )
-                for cycle in cycles
-            ]
-
-    # phase 2: cache hits, then one fan-out over every missing point
-    all_specs = [s for specs in specs_by_cell.values() for s in specs]
-    results, hits = run_specs(
-        all_specs, executor or make_executor(jobs), cache
-    )
-
-    # phase 3: assemble cells, emit events, minimize failures
     report = CampaignReport(
         cells=[],
         points_requested=points,
         seed=seed,
         cache_hits=hits,
-        cache_misses=len(all_specs) - hits,
+        cache_misses=len(specs) - hits,
     )
-    offset = 0
-    for (name, model_name), specs in specs_by_cell.items():
-        cell_results = results[offset:offset + len(specs)]
-        offset += len(specs)
-        _emit_events(sinks, name, model_name, cell_results)
+    for spec, (reference, results) in zip(specs, outcomes):
+        _emit_events(sinks, spec.workload, spec.model.name, results)
         cell = CellReport(
-            workload=name,
-            model=model_name,
-            reference=references[(name, model_name)],
-            results=cell_results,
+            workload=spec.workload,
+            model=spec.model.name,
+            reference=reference,
+            results=results,
         )
         if not cell.ok and minimize:
-            cell.failure = _minimize_cell(
-                specs, cell_results, save_dir, report
-            )
+            cell.failure = _minimize_cell(spec, cell.results, save_dir, report)
         report.cells.append(cell)
     return report
 
@@ -417,7 +377,7 @@ def _emit_events(
 
 
 def _minimize_cell(
-    specs: List[CrashPointSpec],
+    spec: CrashCellSpec,
     cell_results: List[CrashPointResult],
     save_dir: Optional[str],
     report: CampaignReport,
@@ -426,7 +386,6 @@ def _minimize_cell(
     failing_index = next(
         i for i, r in enumerate(cell_results) if not r.ok
     )
-    spec = specs[failing_index]
     workload = spec.build_workload()
 
     def judge(state: CrashState) -> List[str]:
@@ -436,10 +395,11 @@ def _minimize_cell(
     passing_cycle = 0
     for i in range(failing_index - 1, -1, -1):
         if cell_results[i].ok:
-            passing_cycle = specs[i].crash_cycle
+            passing_cycle = cell_results[i].crash_cycle
             break
     minimized = minimize_failure(
-        spec.simulate, judge, spec.crash_cycle, passing_cycle
+        spec.simulate, judge, cell_results[failing_index].crash_cycle,
+        passing_cycle,
     )
     failure = {
         "crash_cycle": minimized.state.crash_cycle,
@@ -460,7 +420,7 @@ def _minimize_cell(
 
 
 def _save_failure(
-    path: str, spec: CrashPointSpec, minimized: MinimizedFailure
+    path: str, spec: CrashCellSpec, minimized: MinimizedFailure
 ) -> None:
     meta = {
         "spec": spec.describe(),
@@ -476,14 +436,8 @@ def _save_failure(
 # replay
 # ---------------------------------------------------------------------------
 
-def replay_failure(path: str, from_checkpoint: Optional[str] = None) -> dict:
-    """Re-adjudicate a serialized failing state without re-simulating.
-
-    With ``from_checkpoint`` (a path to a ``repro ckpt`` document of the
-    same cell) the failure is additionally *re-simulated* from that
-    checkpoint anchor -- resume, continue to the crash cycle, crash,
-    adjudicate -- and the anchored verdict is reported alongside.
-    """
+def replay_failure(path: str) -> dict:
+    """Re-adjudicate a serialized failing state without re-simulating."""
     from repro.crashtest.serialize import load_state
 
     state, meta = load_state(path)
@@ -495,7 +449,7 @@ def replay_failure(path: str, from_checkpoint: Optional[str] = None) -> dict:
         seed=spec_doc.get("seed", 7),
     )
     generic, oracle = adjudicate(state, workload)
-    doc = {
+    return {
         "file": path,
         "workload": name,
         "crash_cycle": state.crash_cycle,
@@ -505,55 +459,14 @@ def replay_failure(path: str, from_checkpoint: Optional[str] = None) -> dict:
         "recorded_violations": meta.get("violations", []),
         "reproduced": bool(generic or oracle),
     }
-    if from_checkpoint is not None:
-        doc["anchored"] = _replay_anchored(
-            from_checkpoint, spec_doc, state, workload
-        )
-    return doc
-
-
-def _replay_anchored(
-    ckpt_path: str, spec_doc: dict, state: CrashState, workload: Workload
-) -> dict:
-    """Re-simulate a saved failure from a checkpoint anchor."""
-    from repro.ckpt.api import CheckpointCell
-    from repro.ckpt.codec import loads_checkpoint
-
-    with open(ckpt_path) as handle:
-        ckpt_meta, ckpt_state = loads_checkpoint(handle.read())
-    cell = CheckpointCell.from_meta(ckpt_meta)
-    if cell.workload != spec_doc.get("workload"):
-        raise ValueError(
-            f"checkpoint is for workload {cell.workload!r}, failure is "
-            f"for {spec_doc.get('workload')!r}"
-        )
-    spec = CrashPointSpec(
-        workload=cell.workload,
-        model=cell.model,
-        crash_cycle=state.crash_cycle,
-        ops_per_thread=cell.ops_per_thread,
-        num_threads=cell.num_threads,
-        seed=cell.seed,
-    )
-    resim = spec.simulate_from_checkpoint(ckpt_meta, ckpt_state)
-    generic, oracle = adjudicate(resim, workload)
-    return {
-        "checkpoint": ckpt_path,
-        "barrier_cycle": ckpt_meta.get("barrier_cycle"),
-        "crash_cycle": resim.crash_cycle,
-        "media_lines": len(resim.media),
-        "generic_violations": generic,
-        "oracle_violations": oracle,
-        "reproduced": bool(generic or oracle),
-    }
 
 
 __all__ = [
     "CRASHTEST_SCHEMA_VERSION",
     "CampaignReport",
     "CellReport",
+    "CrashCellSpec",
     "CrashPointResult",
-    "CrashPointSpec",
     "adjudicate",
     "replay_failure",
     "run_campaign",

@@ -1,8 +1,9 @@
 """Content-addressed experiment cells: the one spec path.
 
 Everything the experiment machinery caches or ships to a worker is a
-:class:`Spec`: a grid cell (:class:`RunSpec`), a crash point
-(:class:`repro.crashtest.campaign.CrashPointSpec`) or a litmus cell
+:class:`Spec`: a grid cell (:class:`RunSpec`), a crash cell -- every
+crash point of one (workload, model) pair, simulated once
+(:class:`repro.crashtest.campaign.CrashCellSpec`) -- or a litmus cell
 (:class:`repro.litmus.spec.LitmusSpec`).  Three decisions are made here
 and nowhere else:
 

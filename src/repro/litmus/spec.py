@@ -16,8 +16,8 @@ Executing a cell:
 2. enumerate crash cycles (commit boundaries + stratified random,
    seeded from the spec's content hash), plus cycle 1 and one
    past-drain cycle for the pristine and fully-drained images;
-3. crash a fresh simulation at each cycle
-   (:func:`repro.core.crash.run_and_crash`) and canonicalize the
+3. crash one simulation at each cycle in turn
+   (:func:`repro.core.crash.crash_at_each`) and canonicalize each
    surviving media image into a symbolic state via the stores' payload
    labels.
 
@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.axiom.program import INIT, LINE, LitmusTest, NVMState, format_state
 from repro.core.api import Op
-from repro.core.crash import run_and_crash
+from repro.core.crash import CrashState, crash_at_each
 from repro.core.models import ModelSpec, resolve_model
 from repro.crashtest.points import (
     enumerate_crash_points,
@@ -139,18 +139,23 @@ class LitmusSpec(Spec):
         line_symbols = {
             (addr // LINE) * LINE: symbol for symbol, addr in self.locations
         }
-        first_cycle: Dict[str, int] = {}
-        for cycle in sorted(cycles):
-            crash = run_and_crash(
-                self.machine, run_config, [iter(ops) for ops in self.programs()],
-                cycle,
-            )
+
+        def observe(crash: CrashState) -> str:
             values: Dict[str, str] = {}
             for line, symbol in line_symbols.items():
                 payload = crash.surviving_payload(line, INIT)
                 values[symbol] = payload if isinstance(payload, str) else INIT
             state: NVMState = tuple(sorted(values.items()))
-            first_cycle.setdefault(format_state(state), cycle)
+            return format_state(state)
+
+        ordered = sorted(cycles)
+        observed = crash_at_each(
+            self.machine, run_config, [iter(ops) for ops in self.programs()],
+            ordered, observe,
+        )
+        first_cycle: Dict[str, int] = {}
+        for cycle, state in zip(ordered, observed):
+            first_cycle.setdefault(state, cycle)
         return LitmusCellResult(
             test=self.test,
             family=self.family,

@@ -406,31 +406,6 @@ class MemoryController:
         self._pump_drain()
 
     # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize at a quiescent point: the input pipeline is idle and
-        the WPQ / media write queues have drained."""
-        if self._input or self._processing or self._drains_outstanding:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint a busy memory controller"
-            )
-        return {
-            "adr_value": [[line, wid] for line, wid in self.adr_value.items()],
-            "wpq": self.wpq.ckpt_state(),
-            "nvm": self.nvm.ckpt_state(),
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self.adr_value = {
-            int(line): int(wid)
-            for line, wid in state["adr_value"]  # type: ignore[union-attr]
-        }
-        self.wpq.ckpt_restore(state["wpq"])  # type: ignore[arg-type]
-        self.nvm.ckpt_restore(state["nvm"])  # type: ignore[arg-type]
-
-    # ------------------------------------------------------------------
     # crash path (Section V-E)
     # ------------------------------------------------------------------
 

@@ -180,35 +180,5 @@ class NVMDevice:
     def writes_in_flight(self) -> int:
         return self._busy_banks + len(self._write_queue)
 
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize the media image and XPBuffer LRU state.
-
-        The XPBuffer block order is load-bearing (LRU eviction decides
-        future hit/miss latencies), so it is saved as an ordered list.
-        """
-        if self.writes_in_flight:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint with media writes in flight"
-            )
-        return {
-            "media": [[line, wid] for line, wid in self.media.items()],
-            "xp_blocks": list(self.xpbuffer._blocks.keys()),
-            "xp_hits": self.xpbuffer.hits,
-            "xp_misses": self.xpbuffer.misses,
-        }
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        self.media = {
-            int(line): int(wid)
-            for line, wid in state["media"]  # type: ignore[union-attr]
-        }
-        self.xpbuffer._blocks = OrderedDict(
-            (int(block), None) for block in state["xp_blocks"]  # type: ignore[union-attr]
-        )
-        self.xpbuffer.hits = int(state["xp_hits"])  # type: ignore[arg-type]
-        self.xpbuffer.misses = int(state["xp_misses"])  # type: ignore[arg-type]
-
 
 __all__ = ["NVMDevice", "XPBuffer", "XPLINE_BYTES"]

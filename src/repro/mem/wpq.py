@@ -122,23 +122,5 @@ class WritePendingQueue:
         """Line -> pending write id, newest wins (for inspection/tests)."""
         return {e.line: e.write_id for e in self._entries}
 
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """Serialize at a quiescent point (the queue has fully drained to
-        the media, so there is nothing to save beyond the invariant)."""
-        if self._entries:
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint a non-empty WPQ"
-            )
-        if len(self.space_waiter):
-            raise RuntimeError(
-                f"{self.scope}: cannot checkpoint with WPQ space waiters"
-            )
-        return {}
-
-    def ckpt_restore(self, state: Dict[str, object]) -> None:
-        pass  # quiescent WPQs are empty; occupancy stats restore globally.
-
 
 __all__ = ["WPQEntry", "WritePendingQueue"]

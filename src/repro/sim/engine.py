@@ -26,7 +26,7 @@ order it encodes is identical to the old implementation by construction
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 #: Simulated core frequency (Table II: 2 GHz).
 CPU_FREQ_GHZ = 2.0
@@ -206,36 +206,6 @@ class Engine:
     def pending(self) -> int:
         """Number of (non-cancelled) events still queued."""
         return sum(1 for entry in self._queue if not entry[2].cancelled)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, int]:
-        """Serialize the engine clocks for a checkpoint.
-
-        Only legal at a *quiescent point*: the event queue must hold no
-        live events.  Callbacks are closures and cannot be serialized, so
-        the machine drains the queue (parking the cores at op boundaries)
-        before snapshotting; cancelled heap leftovers are behaviorally
-        inert and are simply dropped.
-        """
-        if self.pending():
-            raise RuntimeError(
-                f"cannot checkpoint a non-quiescent engine "
-                f"({self.pending()} live events queued)"
-            )
-        return {
-            "now": self._now,
-            "seq": self._seq,
-            "events_executed": self._events_executed,
-        }
-
-    def ckpt_restore(self, state: Dict[str, int]) -> None:
-        """Restore clocks saved by :meth:`ckpt_state` into a fresh engine."""
-        if self._queue or self._now or self._seq:
-            raise RuntimeError("ckpt_restore requires a fresh engine")
-        self._now = int(state["now"])
-        self._seq = int(state["seq"])
-        self._events_executed = int(state["events_executed"])
 
 
 class Waiter:

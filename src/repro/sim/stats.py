@@ -233,65 +233,6 @@ class StatsRegistry:
         keys = sorted(data) if names is None else list(names)
         return "\n".join(f"{k} = {data.get(k, 0)}" for k in keys)
 
-    # -- checkpointing ------------------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, List[List[object]]]:
-        """Serialize every counter and time-weighted stat.
-
-        The lists preserve registry insertion order, which is load-bearing:
-        lazily-created counters must be re-created in the same order on
-        restore so that any later lazy creations land in identical
-        positions and reporting output stays byte-identical.
-        """
-        counters: List[List[object]] = [
-            [name, scope, counter.value]
-            for (name, scope), counter in self._counters.items()
-        ]
-        weighted: List[List[object]] = [
-            [
-                name,
-                scope,
-                stat.histogram.max_value,
-                stat._level,
-                stat._last_time,
-                list(stat.histogram.buckets),
-                stat.histogram.samples,
-            ]
-            for (name, scope), stat in self._weighted.items()
-        ]
-        return {"counters": counters, "weighted": weighted}
-
-    def ckpt_restore(self, state: Dict[str, List[List[object]]]) -> None:
-        """Restore :meth:`ckpt_state` output into this registry.
-
-        Counters already created by machine construction (Table VI and any
-        eagerly-registered occupancy stats) are overwritten in place; the
-        rest are created in the saved order.
-        """
-        for entry in state["counters"]:
-            name, scope, value = entry
-            assert isinstance(name, str)
-            assert scope is None or isinstance(scope, str)
-            assert isinstance(value, int)
-            self.counter(name, scope).value = value
-        for wentry in state["weighted"]:
-            name, scope, max_value, level, last_time, buckets, samples = wentry
-            assert isinstance(name, str)
-            assert scope is None or isinstance(scope, str)
-            assert isinstance(max_value, int)
-            assert isinstance(level, int) and isinstance(last_time, int)
-            assert isinstance(buckets, list) and isinstance(samples, int)
-            stat = self.weighted(name, max_value, scope)
-            if stat.histogram.max_value != max_value:
-                raise ValueError(
-                    f"weighted stat {name!r} capacity changed "
-                    f"({stat.histogram.max_value} != {max_value})"
-                )
-            stat._level = level
-            stat._last_time = last_time
-            stat.histogram.buckets = [int(b) for b in buckets]
-            stat.histogram.samples = samples
-
 
 __all__ = [
     "Counter",

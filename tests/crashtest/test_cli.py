@@ -78,3 +78,12 @@ def test_failing_campaign_exits_nonzero_and_replays(capsys, tmp_path):
 
 def test_missing_workload_argument_errors(capsys):
     assert main(["crashtest"]) == 2
+
+
+def test_campaign_without_points_exits_2(capsys):
+    for points in ("0", "-3"):
+        assert main(["crashtest", "queue", "--points", points,
+                     "--ops", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "--points must be at least 1" in captured.err
+        assert "PASS" not in captured.out

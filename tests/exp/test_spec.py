@@ -120,7 +120,7 @@ class TestKey:
         """The keys existing caches were written under, one per spec
         type: changing one orphans every ResultCache entry and fabric
         store of that type."""
-        from repro.crashtest.campaign import CrashPointSpec
+        from repro.crashtest.campaign import CrashCellSpec
         from repro.litmus.corpus import build_corpus
         from repro.litmus.spec import LitmusSpec
 
@@ -130,9 +130,9 @@ class TestKey:
             (RunSpec("nstore", "asap_rp", ops_per_thread=40, num_threads=4,
                      seed=7),
              "49b5b06a692abeeeabb5152b72d9454f3d4552ce22f0363979148b6b1cbe1799"),
-            (CrashPointSpec("nstore", "asap_rp", crash_cycle=1234,
-                            ops_per_thread=40, seed=7),
-             "38449c7711ab4d53421209fa4e51fe4497ed5653f422ad31bc202a3a10ac358a"),
+            (CrashCellSpec("nstore", "asap_rp", points=8, ops_per_thread=40,
+                           seed=7),
+             "83ec3766fd004c7d5e996e3fcc7767f17490334ffac263edbe7ec3f4d231a524"),
             (LitmusSpec(test, "asap_rp", points=24, seed=7),
              "426a75dc2ec83a40a70c2230a2d8d6d1af12820c856d47daf8ef0992eea0a93f"),
         ]

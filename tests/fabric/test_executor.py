@@ -81,13 +81,13 @@ def test_map_runs_specs_only(tmp_path):
 
 
 def test_every_spec_type_is_one_spec_task_addressed_by_its_key():
-    from repro.crashtest.campaign import CrashPointSpec
+    from repro.crashtest.campaign import CrashCellSpec
     from repro.fabric import envelope_for
     from repro.litmus.spec import LitmusSpec
 
     specs = [
         RunSpec("queue", "asap_rp", ops_per_thread=10),
-        CrashPointSpec("queue", "asap_rp", crash_cycle=100),
+        CrashCellSpec("queue", "asap_rp", points=8),
         LitmusSpec(smoke_corpus()[0], "asap_rp", points=4),
     ]
     for spec in specs:
