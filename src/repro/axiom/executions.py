@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.axiom.program import LINE, LitmusTest
-from repro.core.api import Acquire, Release, Store
+from repro.core.api import Acquire, Release
 
 #: (thread, op index) -- the identity of one op in the program.
 OpRef = Tuple[int, int]

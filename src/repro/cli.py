@@ -95,6 +95,20 @@ def _fabric_executor(args):
     )
 
 
+def _fabric_only(args, command: str, hint: str) -> bool:
+    """True, after saying so, if ``--queue``, ``--stream`` or
+    ``--chaos-kill`` is given to a run without the fabric: only
+    :func:`_fabric_executor` reads them (exit 2, not silently ignored)."""
+    given = [flag for flag, value in (("--queue", args.queue),
+                                      ("--stream", args.stream),
+                                      ("--chaos-kill", args.chaos_kill))
+             if value is not None]
+    if given:
+        print(f"{command}: fabric-only flag(s) {', '.join(given)}; {hint}",
+              file=sys.stderr)
+    return bool(given)
+
+
 def cmd_list(_args) -> int:
     print("workloads (Table III):")
     for cls in SUITE:
@@ -263,6 +277,8 @@ def cmd_crashtest(args) -> int:
     from repro.crashtest import replay_failure, run_campaign
     from repro.workloads.registry import SUITE
 
+    if not args.fabric and _fabric_only(args, "crashtest", "add --fabric"):
+        return 2
     if args.replay:
         try:
             report = replay_failure(args.replay)
@@ -346,6 +362,8 @@ def cmd_litmus(args) -> int:
     )
     from repro.report import dumps as sarif_dumps
 
+    if not args.fabric and _fabric_only(args, "litmus", "add --fabric"):
+        return 2
     if args.list:
         tests = build_corpus(seed=args.seed, rand_count=args.count)
         for test in tests:
@@ -534,6 +552,9 @@ def cmd_fabric(args) -> int:
     # --serial, in-process) and report content fingerprints per cell --
     # the document the CI fabric-gate byte-compares across substrates.
     from repro.fabric import fingerprint_sha
+
+    if args.serial and _fabric_only(args, "fabric grid", "drop --serial"):
+        return 2
 
     names = args.workloads or [cls.name for cls in MICROBENCHES]
     models = args.models or ["baseline", "asap_rp"]

@@ -36,7 +36,7 @@ Example::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 #: Thread programs are generators of ops.

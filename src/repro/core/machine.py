@@ -26,7 +26,7 @@ pair is recorded in the epoch log as a DAG edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.obs.events import EventType
 from repro.obs.tracer import Tracer

@@ -205,7 +205,7 @@ class RecoveryTable:
         write out.
         """
         for line in [
-            l for l, r in self._undo.items()
+            undo_line for undo_line, r in self._undo.items()
             if r.core == core and r.epoch_ts == epoch_ts
         ]:
             del self._undo[line]

@@ -24,8 +24,8 @@ construction, not yet safely ordered -- so recovery consistency holds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.mem.controller import FlushPacket, MemoryController
 from repro.sim.engine import Engine

@@ -6,7 +6,10 @@ worker processes through a crash-safe directory queue; streams results
 incrementally as JSONL; dedupes via the content-hash
 :class:`repro.exp.cache.ResultCache` used as a shared store; and
 survives worker death (SIGKILL mid-task) through lease-based work
-stealing with zero lost or duplicated results.
+stealing with zero lost or duplicated results.  A
+:class:`FabricExecutor` runs each batch on a scheduler of its own; a
+:class:`FabricScheduler` is itself an executor that keeps one worker
+pool and one deduped task set across batches.
 
 See ``docs/fabric.md`` for the architecture and the exactly-once
 argument.

@@ -94,7 +94,7 @@ class FabricQueue:
         return self._read_pickle(self._task_path(task_id))
 
     def task_ids(self) -> List[str]:
-        return sorted(p.stem for p in self.tasks_dir.glob("*.task"))
+        return _ids(self.tasks_dir, ".task")
 
     # -- leases -------------------------------------------------------------
 
@@ -121,11 +121,14 @@ class FabricQueue:
         return True
 
     def claim_next(self, worker: str, ts: float) -> Optional[TaskEnvelope]:
-        """Claim the first unleased, unfinished task (None when idle)."""
+        """Claim the first unleased, unfinished task (None when idle).
+
+        Leases are listed before results: a worker holds its lease until
+        its result exists, so a task finishing mid-scan is in one list.
+        """
+        taken = set(self.lease_ids()).union(self.result_ids())
         for task_id in self.task_ids():
-            if self._result_path(task_id).exists():
-                continue
-            if self._lease_path(task_id).exists():
+            if task_id in taken:
                 continue
             if not self.try_claim(task_id, worker, ts):
                 continue  # lost the race; move on
@@ -154,7 +157,7 @@ class FabricQueue:
             return None
 
     def lease_ids(self) -> List[str]:
-        return sorted(p.stem for p in self.leases_dir.glob("*.lease"))
+        return _ids(self.leases_dir, ".lease")
 
     def release_lease(self, task_id: str) -> None:
         try:
@@ -180,7 +183,7 @@ class FabricQueue:
         return outcome
 
     def result_ids(self) -> List[str]:
-        return sorted(p.stem for p in self.results_dir.glob("*.pkl"))
+        return _ids(self.results_dir, ".pkl")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -227,6 +230,15 @@ class FabricQueue:
             except OSError:
                 pass
             raise
+
+
+def _ids(directory: pathlib.Path, suffix: str) -> List[str]:
+    """Sorted ids of the ``<id><suffix>`` files (none if no directory)."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return sorted(n[: -len(suffix)] for n in names if n.endswith(suffix))
 
 
 __all__ = ["FabricQueue", "LeaseInfo"]

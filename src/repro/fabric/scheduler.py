@@ -10,22 +10,24 @@ that turns the queue's files into campaign results:
   submissions exactly this way).
 - **collect** -- each pump tick sweeps new result files into memory,
   appends one JSONL line per completed task to the incremental stream
-  (``results.jsonl``), emits :class:`~repro.obs.events.Event`\\ s, and
-  releases finished jobs.
+  (``results.jsonl``), and releases finished jobs.
 - **steal** -- a lease whose owner pid is dead (SIGKILL, OOM) or whose
-  age exceeds ``lease_timeout`` is reaped: the lease file is deleted,
-  the task becomes claimable again, and some worker re-runs it.
-  Determinism makes the retry byte-identical, so nothing is lost and
-  nothing is duplicated.
-- **respawn** -- a dead worker is replaced (up to ``max_respawns``)
-  while work is pending, so the fabric keeps its width.
-- **budget** -- a task that kills its worker ``max_retries`` times is
-  failed *by the scheduler* with a clear error instead of looping
-  forever.
+  age exceeds :data:`LEASE_TIMEOUT_S` is reaped: the lease file is
+  deleted, the task becomes claimable again, and some worker re-runs
+  it.  Determinism makes the retry byte-identical, so nothing is lost
+  and nothing is duplicated.
+- **respawn** -- a dead worker is replaced (up to :data:`MAX_RESPAWNS`
+  per scheduler) while work is pending, so the fabric keeps its width.
+- **budget** -- a task whose lease is stolen more than
+  :data:`MAX_RETRIES` times is failed *by the scheduler* with a clear
+  error instead of looping forever.
 
-The pump thread never executes simulation work itself, so the scheduler
-stays responsive regardless of cell runtimes.  ``chaos_kill_after`` is
-the fault-injection hook the CI ``fabric-gate`` uses: after N collected
+A scheduler is itself an executor (``jobs`` plus ``map``): pass it to
+``run_plan``/``run_campaign``/``run_litmus`` to multiplex many batches
+onto one worker pool and one deduped task set.  The pump thread never
+executes simulation work itself, so the scheduler stays responsive
+regardless of cell runtimes.  ``chaos_kill_after`` is the
+fault-injection hook the CI ``fabric-gate`` uses: after N collected
 results the scheduler SIGKILLs one of its own workers and the campaign
 must still converge byte-identically.
 """
@@ -51,7 +53,14 @@ from repro.fabric.tasks import (
     TaskOutcome,
     envelope_for,
 )
-from repro.fabric.worker import worker_loop
+from repro.fabric.worker import POLL_INTERVAL_S, worker_loop
+
+#: a lease older than this (seconds) is stolen even if its owner lives.
+LEASE_TIMEOUT_S = 120.0
+#: dead workers one scheduler replaces while work is pending.
+MAX_RESPAWNS = 8
+#: lease steals after which a task is failed instead of re-run.
+MAX_RETRIES = 3
 
 
 class FabricStalledError(RuntimeError):
@@ -133,12 +142,6 @@ class FabricScheduler:
         queue_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         cache_dir: Optional[str] = None,
         stream_path: Optional[str] = None,
-        sinks: Optional[List[Any]] = None,
-        poll_interval: float = 0.02,
-        lease_timeout: float = 120.0,
-        respawn: bool = True,
-        max_respawns: int = 8,
-        max_retries: int = 3,
         chaos_kill_after: Optional[int] = None,
     ) -> None:
         if jobs < 1:
@@ -151,12 +154,6 @@ class FabricScheduler:
         self.queue = FabricQueue(queue_dir)
         self.queue.resume()  # a reused persistent queue may carry STOP
         self.cache_dir = cache_dir
-        self.sinks = list(sinks) if sinks else []
-        self.poll_interval = poll_interval
-        self.lease_timeout = lease_timeout
-        self.respawn = respawn
-        self.max_respawns = max_respawns
-        self.max_retries = max_retries
         self.chaos_kill_after = chaos_kill_after
 
         self._lock = threading.RLock()
@@ -167,7 +164,6 @@ class FabricScheduler:
         self._worker_seq = 0
         self._respawns = 0
         self._job_seq = 0
-        self._event_seq = 0
         self._chaos_done = False
         self._stream: Optional[IO[str]] = None
         self._stream_path = stream_path
@@ -205,13 +201,21 @@ class FabricScheduler:
             self._pump.start()
 
     def close(self) -> None:
-        """Stop workers, drain the pump, flush the stream."""
+        """Stop workers, drain the pump, flush the stream.
+
+        With every task finished the workers are terminated (the queue
+        survives SIGKILL at any instant); else they finish their task.
+        """
         self.queue.stop()
         self._stop.set()
         if self._pump is not None:
             self._pump.join(timeout=10.0)
             self._pump = None
+        with self._lock:
+            finished = len(self._outcomes) == len(self._meta)
         for record in self._workers:
+            if finished:
+                record.process.terminate()
             record.process.join(timeout=5.0)
             if record.process.is_alive():
                 record.process.terminate()
@@ -254,7 +258,6 @@ class FabricScheduler:
                 self._meta[env.task_id] = _TaskMeta(label=env.label)
                 self.queue.add_task(env)
                 fresh += 1
-                self._emit("fabric_task", kind="submit", value=None)
             self.counters["tasks_submitted"] += fresh
             self.counters["jobs_submitted"] += 1
             self._jobs.append(job)
@@ -293,7 +296,7 @@ class FabricScheduler:
                 with self._lock:
                     self._stalled = f"scheduler pump crashed: {exc!r}"
                 return
-            time.sleep(self.poll_interval)
+            self._stop.wait(POLL_INTERVAL_S)
 
     def _tick(self) -> None:
         self._collect_results()
@@ -328,11 +331,6 @@ class FabricScheduler:
                         "error": outcome.error,
                     }
                 )
-                self._emit(
-                    "fabric_task",
-                    kind="done" if outcome.ok else "error",
-                    value=len(self._meta) - len(self._outcomes),
-                )
                 self._refresh_jobs_locked()
 
     def _check_workers(self) -> None:
@@ -343,13 +341,8 @@ class FabricScheduler:
                     continue
                 record.dead = True
                 self.counters["workers_died"] += 1
-                self._emit("fabric_worker", kind="death")
                 self._steal_worker_leases(record.worker_id)
-                if (
-                    pending
-                    and self.respawn
-                    and self._respawns < self.max_respawns
-                ):
+                if pending and self._respawns < MAX_RESPAWNS:
                     self._respawns += 1
                     self._spawn_worker(respawned=True)
 
@@ -363,7 +356,7 @@ class FabricScheduler:
             lease = self.queue.lease_info(task_id)
             if lease is None:
                 continue
-            expired = now - lease.ts > self.lease_timeout
+            expired = now - lease.ts > LEASE_TIMEOUT_S
             if not expired and _pid_alive(lease.pid):
                 continue
             self._steal_lease(task_id)
@@ -387,8 +380,7 @@ class FabricScheduler:
                 return
             meta.retries += 1
             self.counters["leases_stolen"] += 1
-            self._emit("fabric_lease", kind="steal", value=meta.retries)
-            if meta.retries > self.max_retries:
+            if meta.retries > MAX_RETRIES:
                 # the task keeps killing its workers: fail it cleanly
                 # rather than looping forever.
                 self.queue.write_result(
@@ -397,7 +389,7 @@ class FabricScheduler:
                         ok=False,
                         error=(
                             f"task killed its worker {meta.retries} "
-                            f"times (retry budget {self.max_retries})"
+                            f"times (retry budget {MAX_RETRIES})"
                         ),
                         worker="scheduler",
                     )
@@ -424,7 +416,6 @@ class FabricScheduler:
                 return
             self._chaos_done = True
             self.counters["chaos_kills"] += 1
-            self._emit("fabric_worker", kind="chaos-kill")
         os.kill(pid, signal.SIGKILL)
 
     # -- internals ----------------------------------------------------------
@@ -436,8 +427,7 @@ class FabricScheduler:
         process = ctx.Process(
             target=worker_loop,
             args=(str(self.queue.root), worker_id),
-            kwargs={"cache_dir": self.cache_dir,
-                    "poll_interval": self.poll_interval},
+            kwargs={"cache_dir": self.cache_dir},
             name=f"fabric-{worker_id}",
             daemon=True,
         )
@@ -447,9 +437,6 @@ class FabricScheduler:
         self.counters["workers_spawned"] += 1
         if respawned:
             self.counters["workers_respawned"] += 1
-        self._emit(
-            "fabric_worker", kind="respawn" if respawned else "spawn"
-        )
 
     def _refresh_jobs_locked(self) -> None:
         for job in self._jobs:
@@ -467,7 +454,7 @@ class FabricScheduler:
             alive = any(
                 not r.dead and r.process.is_alive() for r in self._workers
             )
-            can_respawn = self.respawn and self._respawns < self.max_respawns
+            can_respawn = self._respawns < MAX_RESPAWNS
         if pending and not alive and not can_respawn:
             raise FabricStalledError(
                 "every fabric worker died and the respawn budget is "
@@ -483,22 +470,6 @@ class FabricScheduler:
             json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         )
         self._stream.flush()
-
-    def _emit(self, event: str, kind: str, value: Optional[int] = None) -> None:
-        if not self.sinks:
-            return
-        from repro.obs.events import Event, EventType
-
-        self._event_seq += 1
-        record = Event(
-            cycle=self._event_seq,
-            type=EventType(event),
-            comp="fabric",
-            core=None, mc=None, epoch=None, line=None, reason=None,
-            dur=None, kind=kind, value=value,
-        )
-        for sink in self.sinks:
-            sink.handle(record)
 
     def counters_snapshot(self) -> Dict[str, int]:
         with self._lock:

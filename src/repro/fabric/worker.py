@@ -1,7 +1,8 @@
 """The fabric worker loop.
 
 A worker is one process that repeatedly claims a task from the
-directory queue, executes it, and writes the outcome back.  Workers are
+directory queue, executes it, and writes the outcome back, polling every
+:data:`POLL_INTERVAL_S` while there is nothing to claim.  Workers are
 intentionally dumb: all fault-tolerance policy (lease reaping, retry
 budgets, respawn, chaos injection) lives in the scheduler, so a worker
 can be SIGKILLed at any instant without corrupting shared state --
@@ -28,12 +29,15 @@ from typing import Optional, Union
 from repro.fabric.queue import FabricQueue
 from repro.fabric.tasks import TaskOutcome, execute_envelope
 
+#: seconds an idle worker sleeps between claim attempts; the
+#: scheduler's pump ticks at the same rate.
+POLL_INTERVAL_S = 0.02
+
 
 def worker_loop(
     queue_dir: Union[str, "os.PathLike[str]"],
     worker_id: str,
     cache_dir: Optional[str] = None,
-    poll_interval: float = 0.02,
     max_idle_s: Optional[float] = None,
 ) -> int:
     """Claim-execute-report until the queue's STOP sentinel appears.
@@ -60,7 +64,7 @@ def worker_loop(
                 idle_since = now
             elif max_idle_s is not None and now - idle_since > max_idle_s:
                 break
-            time.sleep(poll_interval)
+            time.sleep(POLL_INTERVAL_S)
             continue
         idle_since = None
         try:

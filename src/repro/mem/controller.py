@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.obs.events import EventType
-from repro.sim.engine import Engine, ns_to_cycles
+from repro.sim.engine import Engine
 from repro.sim.config import CACHE_LINE_BYTES, MachineConfig
 from repro.sim.stats import StatsRegistry
 from repro.mem.nvm import NVMDevice

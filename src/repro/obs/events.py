@@ -1,8 +1,9 @@
 """Typed simulator events and the stall-reason taxonomy.
 
 An :class:`Event` is one observation: something a hardware component did
-at one cycle.  Events are plain frozen-ish data (a slotted dataclass of
-ints, strings, and enums) so sinks can serialize them cheaply and the
+at one cycle (``CRASH_POINT``, emitted by the crash-sweep driver, is the
+one exception).  Events are plain frozen-ish data (a slotted dataclass
+of ints, strings, and enums) so sinks can serialize them cheaply and the
 whole stream stays deterministic and picklable.
 
 The JSONL schema (:meth:`Event.to_dict`) is deliberately small and
@@ -67,15 +68,6 @@ class EventType(enum.Enum):
     #: "ok"/"violation", ``value`` = number of violations; emitted by
     #: :mod:`repro.crashtest`, not by the simulator).
     CRASH_POINT = "crash_point"
-    #: the fabric scheduler moved one task (``kind`` = "submit"/"done"/
-    #: "error", ``value`` = tasks still pending; emitted by
-    #: :mod:`repro.fabric`, not by the simulator).
-    FABRIC_TASK = "fabric_task"
-    #: the fabric stole a dead/expired lease (``value`` = retry count).
-    FABRIC_LEASE = "fabric_lease"
-    #: fabric worker-pool lifecycle (``kind`` = "spawn"/"death"/
-    #: "respawn"/"chaos-kill").
-    FABRIC_WORKER = "fabric_worker"
 
 
 class StallReason(enum.Enum):

@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.exp import (
     ExperimentPlan,
     ParallelExecutor,
-    RunSpec,
     SerialExecutor,
     make_executor,
     run_grid,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -79,3 +81,27 @@ def test_status_reports_queue_counts(capsys, tmp_path):
     assert doc["tasks"] == 2
     assert doc["results"] == 2
     assert doc["stopped"] is True  # the grid run stopped its workers
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["crashtest", "queue", "--models", "baseline", "--points", "2",
+          "--ops", "4", "--chaos-kill", "1"], "--fabric"),
+        (["litmus", "sb_relaxed", "--points", "2"], "--fabric"),
+        (["fabric", "grid", *GRID, "--serial"], "--serial"),
+    ],
+    ids=["crashtest", "litmus", "fabric-grid"],
+)
+def test_fabric_only_flags_without_the_fabric_exit_2(
+    capsys, tmp_path, argv, needs
+):
+    """``--queue``/``--stream``/``--chaos-kill`` only act on the fabric;
+    given to a run without it, they are an error, not silently dropped."""
+    stream = tmp_path / "stream.jsonl"
+    code = main([*argv, "--stream", str(stream),
+                 "--queue", str(tmp_path / "q")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert needs in err and "--stream" in err and "--queue" in err
+    assert not stream.exists()

@@ -46,14 +46,12 @@ def test_run_litmus_over_fabric_is_byte_identical():
     assert serial.to_json() == fabric.to_json()
 
 
-def test_attached_executor_reuses_one_scheduler():
+def test_scheduler_is_an_executor_reused_across_plans():
     with FabricScheduler(jobs=2) as scheduler:
-        executor = FabricExecutor(scheduler=scheduler)
-        assert executor.jobs == scheduler.jobs
         plan = ExperimentPlan.grid(["queue"], ["asap_rp"],
                                    ops_per_thread=15)
-        first = run_plan(plan, executor=executor)
-        second = run_plan(plan, executor=executor)
+        first = run_plan(plan, executor=scheduler)
+        second = run_plan(plan, executor=scheduler)
         counters = scheduler.counters_snapshot()
     # the second plan's cells deduped onto the first's tasks in the
     # shared scheduler rather than spawning a second pool.

@@ -27,6 +27,7 @@ def test_ruff_clean_on_typed_packages():
          "src/repro/workloads", "src/repro/sim", "src/repro/axiom",
          "src/repro/litmus", "src/repro/report",
          "src/repro/exp", "src/repro/fabric",
+         "src/repro/core", "src/repro/coherence", "src/repro/mem",
          "tests/lint", "tests/bench", "tests/axiom", "tests/litmus",
          "tests/report", "tests/exp", "tests/fabric"],
         cwd=REPO,
