@@ -17,17 +17,20 @@ import pathlib
 
 import pytest
 
-from repro.exp import run_grid
+from repro.exp import ResultCache, make_executor, run_grid
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Worker processes for the figure grids: ``REPRO_BENCH_JOBS=4 pytest
+#: Executor of the figure grids: ``REPRO_BENCH_JOBS=4 pytest
 #: benchmarks/`` fans every sweep out; unset/0/1 keeps them serial.
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None
+BENCH_EXECUTOR = make_executor(int(os.environ.get("REPRO_BENCH_JOBS", "0")))
 
-#: Result-cache directory: ``REPRO_BENCH_CACHE=/tmp/repro-cache`` makes
-#: re-runs of the harness skip every already-computed cell.
-BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
+#: Result cache: ``REPRO_BENCH_CACHE=/tmp/repro-cache`` makes re-runs of
+#: the harness skip every already-computed cell.
+BENCH_CACHE = (
+    ResultCache(os.environ["REPRO_BENCH_CACHE"])
+    if os.environ.get("REPRO_BENCH_CACHE") else None
+)
 
 
 def bench_grid(workloads, models, machine=None, **kwargs):
@@ -36,7 +39,7 @@ def bench_grid(workloads, models, machine=None, **kwargs):
     Identical to :func:`repro.exp.run_grid` but wired to the harness's
     ``REPRO_BENCH_JOBS`` / ``REPRO_BENCH_CACHE`` environment knobs.
     """
-    kwargs.setdefault("jobs", BENCH_JOBS)
+    kwargs.setdefault("executor", BENCH_EXECUTOR)
     kwargs.setdefault("cache", BENCH_CACHE)
     return run_grid(workloads, models, machine, **kwargs)
 

@@ -27,7 +27,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from repro.analysis.report import render_table
 from repro.analysis.statsfile import write_stats
 from repro.core.models import STANDARD_MODELS
-from repro.exp import run_grid
+from repro.exp import ResultCache, make_executor, run_grid
 from repro.sim.config import MachineConfig
 from repro.workloads import SUITE
 
@@ -57,7 +57,8 @@ def main() -> int:
           f"({args.threads} threads, {ops} ops/thread)...")
     result = run_grid(
         SUITE, STANDARD_MODELS, config, ops_per_thread=ops,
-        jobs=args.jobs, cache=args.cache_dir,
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+        executor=make_executor(args.jobs),
     )
     model_names = [m.name for m in STANDARD_MODELS]
 

@@ -35,17 +35,17 @@ workflow:
 - ``list``    -- enumerate workloads and models.
 
 Model names come from the canonical registry
-(:data:`repro.core.models.MODEL_REGISTRY`); ``run`` and ``compare``
-execute through the :mod:`repro.exp` engine, so both understand
-``--jobs N`` (process fan-out) and ``--cache-dir DIR`` (deterministic
-result reuse).
+(:data:`repro.core.models.MODEL_REGISTRY`).  Every command that runs
+specs builds its executor and result cache once, in
+:func:`_executor_and_cache`, from ``--jobs N`` (process fan-out),
+``--fabric`` and ``--cache-dir DIR`` (deterministic result reuse).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.report import render_table, stall_breakdown_table
 from repro.analysis.statsfile import format_stats, write_stats
@@ -57,7 +57,15 @@ from repro.core.models import (
     STANDARD_MODELS,
     resolve_model,
 )
-from repro.exp import ResultCache, RunSpec, run_grid, run_plan, ExperimentPlan
+from repro.exp import (
+    Executor,
+    ExperimentPlan,
+    ResultCache,
+    RunSpec,
+    make_executor,
+    run_grid,
+    run_plan,
+)
 from repro.sim.config import MachineConfig
 from repro.verify import check_consistency
 from repro.workloads import get_workload, workload_names
@@ -69,36 +77,42 @@ from repro.workloads.registry import MICROBENCHES, SUITE
 _MODEL_CHOICE_NAMES = list(MODEL_REGISTRY) + list(MODEL_ALIASES)
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of every size flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _machine_config(args) -> MachineConfig:
     return MachineConfig(num_cores=args.threads, num_mcs=args.mcs)
 
 
-def _cache(args) -> Optional[ResultCache]:
-    return ResultCache(args.cache_dir) if args.cache_dir else None
-
-
-def _fabric_executor(args):
-    """The FabricExecutor that ``--jobs``, ``--queue``, ``--cache-dir``,
-    ``--stream`` and ``--chaos-kill`` describe (two workers by default).
-
-    Commands that run without the fabric pass no executor, so their
-    drivers fall back to the classic ``make_executor`` path.
+def _executor_and_cache(args) -> Tuple[Executor, Optional[ResultCache]]:
+    """The executor and the result cache a command runs its specs with:
+    ``make_executor(--jobs)``, or under ``--fabric`` (``fabric grid``:
+    unless ``--serial``) the FabricExecutor that ``--jobs`` (two workers
+    by default), ``--queue``, ``--stream`` and ``--chaos-kill`` describe.
     """
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    if not args.fabric:
+        return make_executor(args.jobs), cache
     from repro.fabric import FabricExecutor
 
     return FabricExecutor(
         jobs=args.jobs or 2,
         queue_dir=args.queue,
-        cache_dir=args.cache_dir,
         stream_path=args.stream,
         chaos_kill_after=args.chaos_kill,
-    )
+    ), cache
 
 
 def _fabric_only(args, command: str, hint: str) -> bool:
     """True, after saying so, if ``--queue``, ``--stream`` or
     ``--chaos-kill`` is given to a run without the fabric: only
-    :func:`_fabric_executor` reads them (exit 2, not silently ignored)."""
+    :func:`_executor_and_cache` reads them, and only for the fabric
+    (exit 2, not silently ignored)."""
     given = [flag for flag, value in (("--queue", args.queue),
                                       ("--stream", args.stream),
                                       ("--chaos-kill", args.chaos_kill))
@@ -130,7 +144,8 @@ def cmd_run(args) -> int:
         ops_per_thread=args.ops,
         seed=args.seed,
     )
-    outcome = run_plan(ExperimentPlan([spec]), cache=_cache(args))
+    executor, cache = _executor_and_cache(args)
+    outcome = run_plan(ExperimentPlan([spec]), cache=cache, executor=executor)
     result = outcome.results[0]
     text = format_stats(result.result)
     if args.stats:
@@ -155,14 +170,15 @@ def cmd_compare(args) -> int:
         if not args.models
         else [resolve_model(m) for m in args.models]
     )
+    executor, cache = _executor_and_cache(args)
     result = run_grid(
         names,
         models,
         machine=_machine_config(args),
         ops_per_thread=args.ops,
         seed=args.seed,
-        jobs=args.jobs,
-        cache=_cache(args),
+        cache=cache,
+        executor=executor,
     )
     model_names = [m.name for m in models]
     baseline = model_names[0]
@@ -300,10 +316,6 @@ def cmd_crashtest(args) -> int:
     if not args.all and not args.workload:
         print("crashtest: provide a workload name or --all", file=sys.stderr)
         return 2
-    if args.points < 1:
-        print(f"crashtest: --points must be at least 1, got {args.points}",
-              file=sys.stderr)
-        return 2
     names = (
         [cls.name for cls in SUITE] if args.all else [args.workload]
     )
@@ -311,38 +323,23 @@ def cmd_crashtest(args) -> int:
         [resolve_model(m) for m in args.models]
         if args.models else list(RP_MODELS)
     )
-
-    from repro.obs import JSONLSink
-
-    sinks = []
-    jsonl = None
-    if args.events:
-        jsonl = JSONLSink(args.events)
-        sinks.append(jsonl)
-    try:
-        report = run_campaign(
-            names,
-            models=models,
-            machine=_machine_config(args),
-            points=args.points,
-            seed=args.seed,
-            ops_per_thread=args.ops,
-            jobs=args.jobs,
-            cache=_cache(args),
-            sinks=sinks,
-            save_dir=args.save_failures,
-            executor=_fabric_executor(args) if args.fabric else None,
-        )
-    finally:
-        if jsonl is not None:
-            jsonl.close()
+    executor, cache = _executor_and_cache(args)
+    report = run_campaign(
+        names,
+        models=models,
+        machine=_machine_config(args),
+        points=args.points,
+        seed=args.seed,
+        ops_per_thread=args.ops,
+        cache=cache,
+        save_dir=args.save_failures,
+        executor=executor,
+    )
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report.to_json())
         print(f"wrote {args.out}")
     print(report.summary())
-    if jsonl is not None:
-        print(f"wrote {args.events} ({jsonl.lines_written} JSONL events)")
     for path in report.saved_failures:
         print(f"minimized failing state: {path} "
               f"(replay with: repro crashtest --replay {path})")
@@ -399,12 +396,9 @@ def cmd_litmus(args) -> int:
             return 2
         points = args.points if args.points is not None else 24
 
+    executor, cache = _executor_and_cache(args)
     options = LitmusRunOptions(
-        points=points,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=_fabric_executor(args) if args.fabric else None,
+        points=points, seed=args.seed, cache=cache, executor=executor,
     )
     if args.models:
         options.models = [resolve_model(m) for m in args.models]
@@ -519,9 +513,6 @@ def cmd_fabric(args) -> int:
     if args.mode == "worker":
         from repro.fabric import worker_loop
 
-        if not args.queue:
-            print("fabric worker: --queue DIR is required", file=sys.stderr)
-            return 2
         worker_id = args.worker_id or f"ext-{_os.getpid()}"
         print(f"fabric worker {worker_id} joining queue {args.queue}")
         completed = worker_loop(
@@ -534,9 +525,6 @@ def cmd_fabric(args) -> int:
     if args.mode == "status":
         from repro.fabric import FabricQueue
 
-        if not args.queue:
-            print("fabric status: --queue DIR is required", file=sys.stderr)
-            return 2
         queue = FabricQueue(args.queue, create=False)
         doc = {
             "queue": str(queue.root),
@@ -553,7 +541,7 @@ def cmd_fabric(args) -> int:
     # the document the CI fabric-gate byte-compares across substrates.
     from repro.fabric import fingerprint_sha
 
-    if args.serial and _fabric_only(args, "fabric grid", "drop --serial"):
+    if not args.fabric and _fabric_only(args, "fabric grid", "drop --serial"):
         return 2
 
     names = args.workloads or [cls.name for cls in MICROBENCHES]
@@ -566,8 +554,8 @@ def cmd_fabric(args) -> int:
         num_threads=args.threads,
         seeds=(args.seed,),
     )
-    executor = None if args.serial else _fabric_executor(args)
-    outcome = run_plan(plan, cache=_cache(args), executor=executor)
+    executor, cache = _executor_and_cache(args)
+    outcome = run_plan(plan, cache=cache, executor=executor)
     cells = [
         {
             "workload": spec.workload,
@@ -589,7 +577,7 @@ def cmd_fabric(args) -> int:
     for cell in cells:
         print(f"  {cell['workload']:>12s} {cell['model']:>12s}  "
               f"{cell['fingerprint_sha'][:16]}")
-    mode = "serial" if args.serial else f"fabric jobs={args.jobs or 2}"
+    mode = f"fabric jobs={args.jobs or 2}" if args.fabric else "serial"
     print(f"{len(cells)} cell(s) via {mode}; "
           f"cache hits {outcome.cache_hits}, misses {outcome.cache_misses}")
     if args.out:
@@ -628,9 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=4)
-        p.add_argument("--mcs", type=int, default=2)
-        p.add_argument("--ops", type=int, default=100,
+        p.add_argument("--threads", type=positive_int, default=4)
+        p.add_argument("--mcs", type=positive_int, default=2)
+        p.add_argument("--ops", type=positive_int, default=100,
                        help="operations per thread")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--cache-dir", metavar="DIR",
@@ -662,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="asap_rp")
     p_run.add_argument("--stats", help="write gem5-style stats.txt here")
     common(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, jobs=None, fabric=False)
 
     p_cmp = sub.add_parser("compare", help="speedup table across models")
     p_cmp.add_argument("--workloads", nargs="*",
@@ -672,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="run grid cells across N worker processes")
     common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, fabric=False)
 
     p_tl = sub.add_parser(
         "timeline",
@@ -714,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: all of {sorted(DETECTORS)})")
     p_lint.add_argument("--verbose", action="store_true",
                         help="show suppressed findings with reasons")
-    p_lint.add_argument("--threads", type=int, default=4)
-    p_lint.add_argument("--ops", type=int, default=None,
+    p_lint.add_argument("--threads", type=positive_int, default=4)
+    p_lint.add_argument("--ops", type=positive_int, default=None,
                         help="operations per thread "
                         "(default: each workload's own default)")
     p_lint.add_argument("--seed", type=int, default=7)
@@ -733,30 +721,21 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="MODEL",
                       help="models to sweep (default: baseline hops asap "
                       "eadr)")
-    p_ct.add_argument("--points", type=int, default=50, metavar="N",
+    p_ct.add_argument("--points", type=positive_int, default=50, metavar="N",
                       help="crash points per (workload, model) cell "
                       "(default: 50)")
     p_ct.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="adjudicate crash points across N worker "
-                      "processes")
+                      help="run crash cells across N worker processes")
     p_ct.add_argument("--out", metavar="PATH",
                       help="write the canonical JSON campaign report here")
     p_ct.add_argument("--save-failures", metavar="DIR",
                       help="serialize minimized failing crash states here")
-    p_ct.add_argument("--events", metavar="PATH",
-                      help="write per-crash-point events as JSONL here")
     p_ct.add_argument("--replay", metavar="FILE",
                       help="re-adjudicate a serialized failing state "
                       "(skips the sweep)")
-    p_ct.add_argument("--threads", type=int, default=4)
-    p_ct.add_argument("--mcs", type=int, default=2)
-    p_ct.add_argument("--ops", type=int, default=24,
-                      help="operations per thread (default: 24)")
-    p_ct.add_argument("--seed", type=int, default=7)
-    p_ct.add_argument("--cache-dir", metavar="DIR",
-                      help="reuse deterministic results cached here")
+    common(p_ct)
     _fabric_flags(p_ct)
-    p_ct.set_defaults(func=cmd_crashtest)
+    p_ct.set_defaults(func=cmd_crashtest, ops=24)
 
     p_lit = sub.add_parser(
         "litmus",
@@ -777,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MODEL",
                        help="models to validate (default: baseline hops "
                        "asap eadr)")
-    p_lit.add_argument("--points", type=int, default=None, metavar="N",
+    p_lit.add_argument("--points", type=positive_int, default=None,
+                       metavar="N",
                        help="crash points per cell (default: 24; "
                        "--smoke pins its own)")
     p_lit.add_argument("--seed", type=int, default=7)
@@ -853,37 +833,51 @@ def build_parser() -> argparse.ArgumentParser:
         "fabric",
         help="distributed experiment fabric: grid / worker / status",
     )
-    p_fab.add_argument("mode", choices=("grid", "worker", "status"),
-                       help="grid: run a workloads x models plan and "
-                       "print content fingerprints; worker: attach an "
-                       "external worker to a queue; status: inspect a "
-                       "queue directory")
-    p_fab.add_argument("--workloads", nargs="*", metavar="NAME",
-                       help="grid rows (default: the microbench set)")
-    p_fab.add_argument("--models", nargs="*", choices=_MODEL_CHOICE_NAMES,
-                       metavar="MODEL",
-                       help="grid columns (default: baseline asap_rp)")
-    p_fab.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="fabric worker processes (default: 2)")
-    p_fab.add_argument("--serial", action="store_true",
-                       help="bypass the fabric and run in-process (the "
-                       "reference for byte-identity checks)")
-    p_fab.add_argument("--out", metavar="PATH",
-                       help="write the canonical grid document here")
-    p_fab.add_argument("--queue", metavar="DIR",
-                       help="fabric queue directory (worker/status: "
-                       "required; grid: default private temp dir)")
-    p_fab.add_argument("--stream", metavar="PATH",
-                       help="append one JSONL line per completed task")
-    p_fab.add_argument("--chaos-kill", type=int, default=None, metavar="N",
-                       help="SIGKILL one worker after N completed tasks")
-    p_fab.add_argument("--worker-id", metavar="ID",
-                       help="worker mode: stable worker name "
-                       "(default: ext-<pid>)")
-    p_fab.add_argument("--max-idle", type=float, default=None, metavar="S",
-                       help="worker mode: exit after S seconds with "
-                       "nothing to claim")
-    common(p_fab)
+    fab = p_fab.add_subparsers(dest="mode", required=True)
+
+    p_grid = fab.add_parser(
+        "grid",
+        help="run a workloads x models plan and print content fingerprints",
+    )
+    p_grid.add_argument("--workloads", nargs="*", metavar="NAME",
+                        help="grid rows (default: the microbench set)")
+    p_grid.add_argument("--models", nargs="*", choices=_MODEL_CHOICE_NAMES,
+                        metavar="MODEL",
+                        help="grid columns (default: baseline asap_rp)")
+    substrate = p_grid.add_mutually_exclusive_group()
+    substrate.add_argument("--jobs", type=int, default=None, metavar="N",
+                           help="fabric worker processes (default: 2)")
+    substrate.add_argument("--serial", dest="fabric", action="store_false",
+                           help="bypass the fabric and run in-process (the "
+                           "reference for byte-identity checks)")
+    p_grid.add_argument("--out", metavar="PATH",
+                        help="write the canonical grid document here")
+    p_grid.add_argument("--queue", metavar="DIR",
+                        help="fabric queue directory (default: a private "
+                        "temp dir)")
+    p_grid.add_argument("--stream", metavar="PATH",
+                        help="append one JSONL line per completed task")
+    p_grid.add_argument("--chaos-kill", type=int, default=None, metavar="N",
+                        help="SIGKILL one worker after N completed tasks")
+    common(p_grid)
+
+    p_worker = fab.add_parser(
+        "worker", help="attach an external worker to a queue directory",
+    )
+    p_worker.add_argument("--queue", metavar="DIR", required=True,
+                          help="the queue directory to claim tasks from")
+    p_worker.add_argument("--cache-dir", metavar="DIR",
+                          help="shared result store: hits skip simulation, "
+                          "fresh results are written back")
+    p_worker.add_argument("--worker-id", metavar="ID",
+                          help="stable worker name (default: ext-<pid>)")
+    p_worker.add_argument("--max-idle", type=float, default=None,
+                          metavar="S",
+                          help="exit after S seconds with nothing to claim")
+
+    p_status = fab.add_parser("status", help="inspect a queue directory")
+    p_status.add_argument("--queue", metavar="DIR", required=True,
+                          help="the queue directory to inspect")
     p_fab.set_defaults(func=cmd_fabric)
 
     p_crash = sub.add_parser("crash", help="crash a run and check recovery")

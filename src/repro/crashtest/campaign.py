@@ -34,20 +34,20 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.api import PMAllocator, Program
 from repro.core.crash import CrashState, crash_at_each, run_and_crash
 from repro.core.models import RP_MODELS, ModelSpec
-from repro.exp.executors import make_executor
+from repro.exp.cache import ResultCache
+from repro.exp.executors import Executor, SerialExecutor
 from repro.exp.spec import RunSpec, jsonable, run_specs
-from repro.obs.events import Event, EventType
 from repro.sim.config import MachineConfig
 from repro.verify.consistency import check_consistency
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
-from repro.crashtest.minimize import MinimizedFailure, minimize_failure
+from repro.crashtest.minimize import minimize_failure
 from repro.crashtest.points import (
     ReferenceRun,
     enumerate_crash_points,
     trace_reference,
 )
-from repro.crashtest.serialize import dumps_state
+from repro.crashtest.serialize import save_state
 
 #: participates in every CrashCellSpec key and in the seed of every
 #: cell's crash-point enumeration; bump when adjudication or crash
@@ -147,8 +147,7 @@ class CrashCellSpec(RunSpec):
         """Trace the reference run, enumerate the crash points, then crash
         one simulation at each in cycle order and adjudicate it there."""
         reference = trace_reference(
-            self.build_workload(), self.machine, self.run_config(),
-            num_threads=self.num_threads,
+            self.machine, self.run_config(), self.programs()
         )
         oracle = self.build_workload()
 
@@ -301,21 +300,19 @@ def run_campaign(
     seed: int = 7,
     ops_per_thread: Optional[int] = None,
     num_threads: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache=None,
-    sinks: Optional[List] = None,
+    cache: Optional[ResultCache] = None,
     save_dir: Optional[str] = None,
     minimize: bool = True,
-    executor=None,
+    executor: Executor = SerialExecutor(),
 ) -> CampaignReport:
     """Sweep every (workload, model) cell and adjudicate every point.
 
-    ``cache`` is a :class:`repro.exp.cache.ResultCache` (or None);
-    ``sinks`` receive one ``CRASH_POINT`` event per adjudicated point;
-    ``save_dir`` is where minimized failing states are serialized.
-    ``executor`` overrides ``jobs`` when given -- passing a
-    :class:`repro.fabric.FabricExecutor` runs the sweep on the
-    fault-tolerant fabric with byte-identical output.
+    Cells are run through :func:`~repro.exp.spec.run_specs`: ``cache``
+    hits are served first and only the misses are mapped through
+    ``executor`` (a process pool, or a :class:`repro.fabric.
+    FabricExecutor` for the fault-tolerant fabric; the report bytes are
+    the same).  ``save_dir`` is where minimized failing states are
+    serialized.
     """
     if points < 1:
         raise ValueError(
@@ -331,7 +328,7 @@ def run_campaign(
         for name in workloads
         for model in (models or RP_MODELS)
     ]
-    outcomes, hits = run_specs(specs, executor or make_executor(jobs), cache)
+    outcomes, hits = run_specs(specs, executor, cache)
 
     report = CampaignReport(
         cells=[],
@@ -341,7 +338,6 @@ def run_campaign(
         cache_misses=len(specs) - hits,
     )
     for spec, (reference, results) in zip(specs, outcomes):
-        _emit_events(sinks, spec.workload, spec.model.name, results)
         cell = CellReport(
             workload=spec.workload,
             model=spec.model.name,
@@ -352,28 +348,6 @@ def run_campaign(
             cell.failure = _minimize_cell(spec, cell.results, save_dir, report)
         report.cells.append(cell)
     return report
-
-
-def _emit_events(
-    sinks: Optional[List],
-    workload: str,
-    model: str,
-    results: List[CrashPointResult],
-) -> None:
-    if not sinks:
-        return
-    for result in results:
-        count = len(result.generic_violations) + len(result.oracle_violations)
-        event = Event(
-            cycle=result.crash_cycle,
-            type=EventType.CRASH_POINT,
-            comp="crashtest",
-            core=None, mc=None, epoch=None, line=None, reason=None, dur=None,
-            kind=f"{workload}/{model}:" + ("violation" if count else "ok"),
-            value=count or None,
-        )
-        for sink in sinks:
-            sink.handle(event)
 
 
 def _minimize_cell(
@@ -413,23 +387,15 @@ def _minimize_cell(
         os.makedirs(save_dir, exist_ok=True)
         filename = f"crash-{spec.workload}-{spec.model.name}.json"
         path = os.path.join(save_dir, filename)
-        _save_failure(path, spec, minimized)
+        save_state(path, minimized.state, {
+            "spec": spec.describe(),
+            "violations": list(minimized.violations),
+            "original_cycle": minimized.original_cycle,
+            "original_media_lines": minimized.original_media_lines,
+        })
         failure["replay_file"] = filename
         report.saved_failures.append(path)
     return failure
-
-
-def _save_failure(
-    path: str, spec: CrashCellSpec, minimized: MinimizedFailure
-) -> None:
-    meta = {
-        "spec": spec.describe(),
-        "violations": list(minimized.violations),
-        "original_cycle": minimized.original_cycle,
-        "original_media_lines": minimized.original_media_lines,
-    }
-    with open(path, "w") as handle:
-        handle.write(dumps_state(minimized.state, meta))
 
 
 # ---------------------------------------------------------------------------

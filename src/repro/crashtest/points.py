@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Sequence
 
 from repro.core.api import Op
 from repro.core.machine import Machine
 from repro.exp.spec import digest
 from repro.obs.events import Event, EventType
 from repro.sim.config import MachineConfig, RunConfig
-from repro.workloads.base import Workload, run_workload
 
 
 class CommitCollector:
@@ -58,39 +57,16 @@ class ReferenceRun:
 
 
 def trace_reference(
-    workload: Workload,
     machine: MachineConfig,
     run_config: RunConfig,
-    num_threads: Optional[int] = None,
+    programs: Sequence[Iterable[Op]],
 ) -> ReferenceRun:
-    """Run the workload to completion once, collecting commit cycles."""
+    """Run ``programs`` (one op stream per thread) to completion once,
+    collecting commit cycles; no crash."""
     collector = CommitCollector()
-    result = run_workload(
-        workload, machine, run_config,
-        num_threads=num_threads, sinks=[collector],
+    result = Machine(machine, run_config, sinks=[collector]).run(
+        [iter(ops) for ops in programs]
     )
-    return ReferenceRun(
-        drain_cycles=result.result.drain_cycles,
-        runtime_cycles=result.result.runtime_cycles,
-        commit_cycles=tuple(sorted(set(collector.cycles))),
-    )
-
-
-def trace_reference_programs(
-    machine: MachineConfig,
-    run_config: RunConfig,
-    per_thread_ops: List[List[Op]],
-) -> ReferenceRun:
-    """Trace a reference run from raw per-thread op lists.
-
-    The litmus engine works with explicit op lists rather than registry
-    workloads, so this is the programs-level twin of
-    :func:`trace_reference`: one full run, commit cycles collected, no
-    crash.
-    """
-    collector = CommitCollector()
-    system = Machine(machine, run_config, sinks=[collector])
-    result = system.run([iter(ops) for ops in per_thread_ops])
     return ReferenceRun(
         drain_cycles=result.drain_cycles,
         runtime_cycles=result.runtime_cycles,
@@ -160,5 +136,4 @@ __all__ = [
     "enumerate_crash_points",
     "stratified_cycles",
     "trace_reference",
-    "trace_reference_programs",
 ]

@@ -14,7 +14,8 @@ this package:
   expand a grid into cells and run them through ``run_specs``.
 - :class:`SerialExecutor` / :class:`ParallelExecutor`
   (:mod:`repro.exp.executors`) -- in-process or ``--jobs N`` process
-  fan-out; identical results either way.
+  fan-out (``make_executor(jobs)``); identical results either way.  The
+  caller builds the executor and the cache once and passes both down.
 - :class:`ResultCache` (:mod:`repro.exp.cache`) -- content-addressed
   on-disk store; re-running a suite skips already-computed cells.
 - :func:`run_grid` -- the one-call driver returning a

@@ -102,7 +102,8 @@ class ParallelExecutor:
 
 
 def make_executor(jobs: Optional[int] = None) -> Executor:
-    """``jobs`` semantics shared by the CLI and the drivers:
+    """The one place a job count becomes an executor (the drivers take
+    the executor itself):
 
     ``None``/``0``/``1`` -> serial; ``N > 1`` -> N worker processes.
     """

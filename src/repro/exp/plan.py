@@ -5,11 +5,11 @@ The lifecycle every driver (CLI ``compare``, the figure benchmarks,
 
 1. :meth:`ExperimentPlan.grid` expands workloads x models (x seeds) into
    fully-specified :class:`~repro.exp.spec.RunSpec` cells.
-2. :func:`run_plan` executes the cells through a pluggable executor
-   (serial or process fan-out), consulting an optional
-   :class:`~repro.exp.cache.ResultCache` first.  Cells are independent,
-   so wall clock under ``jobs=N`` approaches the slowest cell, not the
-   sum.
+2. :func:`run_plan` executes the cells through the executor its
+   caller chose (serial by default; a process pool or the fabric fans
+   them out), consulting an optional :class:`~repro.exp.cache.
+   ResultCache` first.  Cells are independent, so wall clock over N
+   workers approaches the slowest cell, not the sum.
 3. :class:`SweepResult` aggregates (workload, model) cells with the
    normalization helpers the figures are written against (speedups,
    geomeans, stat extraction).
@@ -17,20 +17,18 @@ The lifecycle every driver (CLI ``compare``, the figure benchmarks,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.models import ModelSpec, resolve_model
 from repro.exp.cache import ResultCache
-from repro.exp.executors import Executor, make_executor
+from repro.exp.executors import Executor, SerialExecutor
 from repro.exp.spec import RunSpec, run_specs
 from repro.sim.config import MachineConfig
 from repro.workloads.base import Workload, WorkloadResult
 
 WorkloadRef = Union[str, Type[Workload]]
 ModelRef = Union[str, ModelSpec]
-CacheRef = Union[ResultCache, str, "os.PathLike[str]"]
 
 
 @dataclass(frozen=True)
@@ -95,20 +93,15 @@ class PlanResult:
 
 def run_plan(
     plan: ExperimentPlan,
-    jobs: Optional[int] = None,
-    cache: Optional[CacheRef] = None,
-    executor: Optional[Executor] = None,
+    cache: Optional[ResultCache] = None,
+    executor: Executor = SerialExecutor(),
 ) -> PlanResult:
     """Execute every cell of ``plan``; return results in plan order.
 
     Cached cells are served without touching the executor; only misses
-    are fanned out.  ``executor`` overrides ``jobs`` when given.
+    are mapped through it.
     """
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
-    results, hits = run_specs(
-        plan.specs, executor or make_executor(jobs), cache
-    )
+    results, hits = run_specs(plan.specs, executor, cache)
     return PlanResult(
         plan=plan,
         results=results,
@@ -157,9 +150,8 @@ def run_grid(
     ops_per_thread: Optional[int] = None,
     num_threads: Optional[int] = None,
     seed: int = 7,
-    jobs: Optional[int] = None,
-    cache: Optional[CacheRef] = None,
-    executor: Optional[Executor] = None,
+    cache: Optional[ResultCache] = None,
+    executor: Executor = SerialExecutor(),
 ) -> SweepResult:
     """Run every workload under every model; the standard figure driver.
 
@@ -176,7 +168,7 @@ def run_grid(
         num_threads=num_threads,
         seeds=(seed,),
     )
-    outcome = run_plan(plan, jobs=jobs, cache=cache, executor=executor)
+    outcome = run_plan(plan, cache=cache, executor=executor)
     model_specs = [resolve_model(m) for m in models]
     result = SweepResult(
         workloads=[

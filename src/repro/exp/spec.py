@@ -137,11 +137,6 @@ class RunSpec(Spec):
     ops_per_thread: Optional[int] = None
     num_threads: Optional[int] = None
     seed: int = 7
-    #: run with structured event tracing and attach a stall-attribution
-    #: summary to the result (see :mod:`repro.obs`).  Participates in the
-    #: cache key only when True, so every pre-existing untraced key is
-    #: unchanged.
-    events: bool = False
 
     def __init__(
         self,
@@ -151,7 +146,6 @@ class RunSpec(Spec):
         ops_per_thread: Optional[int] = None,
         num_threads: Optional[int] = None,
         seed: int = 7,
-        events: bool = False,
     ) -> None:
         object.__setattr__(self, "workload", _resolve_workload_name(workload))
         object.__setattr__(self, "model", resolve_model(model))
@@ -159,7 +153,6 @@ class RunSpec(Spec):
         object.__setattr__(self, "ops_per_thread", ops_per_thread)
         object.__setattr__(self, "num_threads", num_threads)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "events", bool(events))
 
     # -- construction helpers ---------------------------------------------
 
@@ -181,7 +174,7 @@ class RunSpec(Spec):
         The model's display name is deliberately excluded: ``hops`` and
         ``hops_rp`` are the same design and must share a cache entry.
         """
-        d: Dict[str, Any] = {
+        return {
             "schema": SPEC_SCHEMA_VERSION,
             "workload": self.workload,
             "hardware": self.model.hardware.value,
@@ -192,11 +185,6 @@ class RunSpec(Spec):
             "num_threads": self.num_threads,
             "seed": self.seed,
         }
-        # Added conditionally so every untraced spec keeps the key it had
-        # before tracing existed (cached results stay valid).
-        if self.events:
-            d["events"] = True
-        return d
 
     def label(self) -> str:
         return f"{self.workload}/{self.model.name}@seed{self.seed}"
@@ -204,32 +192,13 @@ class RunSpec(Spec):
     # -- execution ----------------------------------------------------------
 
     def execute(self) -> WorkloadResult:
-        """Run this cell to completion in the current process.
-
-        When :attr:`events` is set, the run is traced through a
-        :class:`repro.obs.StallProfiler` and the profiler's summary is
-        attached as ``result.obs`` (a plain dict, so the result still
-        pickles and caches).
-        """
-        if not self.events:
-            return run_workload(
-                self.build_workload(),
-                self.machine,
-                self.run_config(),
-                num_threads=self.num_threads,
-            )
-        from repro.obs import StallProfiler
-
-        profiler = StallProfiler()
-        result = run_workload(
+        """Run this cell to completion in the current process."""
+        return run_workload(
             self.build_workload(),
             self.machine,
             self.run_config(),
             num_threads=self.num_threads,
-            sinks=[profiler],
         )
-        result.obs = profiler.summary()
-        return result
 
 
 def execute_spec(spec: Spec) -> Any:

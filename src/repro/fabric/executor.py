@@ -12,6 +12,10 @@ Each ``map()`` call spins a scheduler up, runs the batch, and tears the
 pool down -- the campaign-CLI shape.  To multiplex many batches onto one
 long-lived pool (the ``repro serve`` shape), pass a
 :class:`~repro.fabric.scheduler.FabricScheduler` itself as the executor.
+
+A ``FabricExecutor`` has no result cache.  Its drivers serve cache hits
+through :func:`repro.exp.spec.run_specs` before mapping and store the
+fresh results after, so its workers would only ever miss.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ class FabricExecutor:
         self,
         jobs: int = 2,
         queue_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-        cache_dir: Optional[str] = None,
         stream_path: Optional[str] = None,
         chaos_kill_after: Optional[int] = None,
     ) -> None:
         self.jobs = jobs
         self._queue_dir = queue_dir
-        self._cache_dir = cache_dir
         self._stream_path = stream_path
         self._chaos_kill_after = chaos_kill_after
         #: counters of the last completed map(), for reporting without
@@ -52,7 +54,6 @@ class FabricExecutor:
         with FabricScheduler(
             jobs=self.jobs,
             queue_dir=self._queue_dir,
-            cache_dir=self._cache_dir,
             stream_path=self._stream_path,
             chaos_kill_after=self._chaos_kill_after,
         ) as scheduler:

@@ -2,10 +2,11 @@
 
 For each selected test the runner computes the axiomatic allowed-set
 once, then runs one :class:`~repro.litmus.spec.LitmusSpec` per
-registered RP model through :func:`~repro.exp.spec.run_specs` (the
-:class:`~repro.exp.cache.ResultCache` for content-addressed reuse, an
-executor for optional parallelism), and classifies the per-cell state
-diff into a :class:`~repro.litmus.report.LitmusReport`.
+registered RP model through :func:`~repro.exp.spec.run_specs` (an
+optional :class:`~repro.exp.cache.ResultCache` for content-addressed
+reuse, and the executor the caller chose: serial by default, a process
+pool or the fabric), and classifies the per-cell state diff into a
+:class:`~repro.litmus.report.LitmusReport`.
 
 EP-persistency designs are deliberately out of scope: under epoch
 persistency the machine inserts *more* ordering (every conflict is a
@@ -18,14 +19,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.axiom.allowed import allowed_states
 from repro.axiom.program import LitmusTest, format_state
 from repro.core.models import RP_MODELS, ModelSpec
 from repro.exp.cache import ResultCache
-from repro.exp.executors import Executor, make_executor
+from repro.exp.executors import Executor, SerialExecutor
 from repro.exp.spec import run_specs
 from repro.litmus.report import CellDiff, LitmusReport
 from repro.litmus.spec import LitmusSpec
@@ -40,12 +40,10 @@ class LitmusRunOptions:
     points: int = 24
     seed: int = 7
     machine: MachineConfig = field(default_factory=MachineConfig)
-    jobs: Optional[int] = None
-    cache_dir: Optional[Union[str, Path]] = None
-    #: overrides ``jobs`` when set -- e.g. a
-    #: :class:`repro.fabric.FabricExecutor` to run the enumeration on
-    #: the fault-tolerant fabric.
-    executor: Optional[Executor] = None
+    cache: Optional[ResultCache] = None
+    #: maps the cells: serial by default, a process pool, or a
+    #: :class:`repro.fabric.FabricExecutor` for the fault-tolerant fabric.
+    executor: Executor = field(default_factory=SerialExecutor)
 
 
 def run_litmus(
@@ -54,14 +52,20 @@ def run_litmus(
 ) -> LitmusReport:
     """Cross-validate ``tests`` under every model in ``options.models``.
 
-    Raises ``ValueError`` before any work if two tests share a name:
-    cells are matched to their allowed sets by test name.
+    Raises ``ValueError`` before any work if two tests share a name
+    (cells are matched to their allowed sets by test name) or if
+    ``options.points`` is below 1.
     """
     counts = Counter(test.name for test in tests)
     duplicates = sorted(name for name, count in counts.items() if count > 1)
     if duplicates:
         raise ValueError(f"duplicate litmus test names: {duplicates}")
     options = options or LitmusRunOptions()
+    if options.points < 1:
+        raise ValueError(
+            f"a litmus run needs at least 1 point per cell, "
+            f"got {options.points}"
+        )
 
     allowed: Dict[str, List[str]] = {}
     executions: Dict[str, int] = {}
@@ -85,14 +89,7 @@ def run_litmus(
         for model in options.models
     ]
 
-    cache = (
-        ResultCache(Path(options.cache_dir))
-        if options.cache_dir is not None
-        else None
-    )
-    results, _ = run_specs(
-        specs, options.executor or make_executor(options.jobs), cache
-    )
+    results, _ = run_specs(specs, options.executor, options.cache)
 
     cells: List[CellDiff] = []
     for result in results:

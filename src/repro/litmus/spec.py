@@ -11,8 +11,7 @@ its name.
 Executing a cell:
 
 1. trace one full reference run to learn the drain horizon and the
-   epoch-commit cycles (:func:`repro.crashtest.points
-   .trace_reference_programs`);
+   epoch-commit cycles (:func:`repro.crashtest.points.trace_reference`);
 2. enumerate crash cycles (commit boundaries + stratified random,
    seeded from the spec's content hash), plus cycle 1 and one
    past-drain cycle for the pristine and fully-drained images;
@@ -35,10 +34,7 @@ from repro.axiom.program import INIT, LINE, LitmusTest, NVMState, format_state
 from repro.core.api import Op
 from repro.core.crash import CrashState, crash_at_each
 from repro.core.models import ModelSpec, resolve_model
-from repro.crashtest.points import (
-    enumerate_crash_points,
-    trace_reference_programs,
-)
+from repro.crashtest.points import enumerate_crash_points, trace_reference
 from repro.exp.spec import Spec, jsonable
 from repro.sim.config import MachineConfig, RunConfig
 from repro.trace.ops import decode_op, encode_op
@@ -127,9 +123,7 @@ class LitmusSpec(Spec):
     def execute(self) -> "LitmusCellResult":
         run_config = self.run_config()
         programs = self.programs()
-        reference = trace_reference_programs(
-            self.machine, run_config, programs
-        )
+        reference = trace_reference(self.machine, run_config, programs)
         cycles = set(
             enumerate_crash_points(reference, self.points, self.describe())
         )

@@ -1,9 +1,8 @@
 """Typed simulator events and the stall-reason taxonomy.
 
 An :class:`Event` is one observation: something a hardware component did
-at one cycle (``CRASH_POINT``, emitted by the crash-sweep driver, is the
-one exception).  Events are plain frozen-ish data (a slotted dataclass
-of ints, strings, and enums) so sinks can serialize them cheaply and the
+at one cycle.  Events are plain frozen-ish data (a slotted dataclass of
+ints, strings, and enums) so sinks can serialize them cheaply and the
 whole stream stays deterministic and picklable.
 
 The JSONL schema (:meth:`Event.to_dict`) is deliberately small and
@@ -64,10 +63,6 @@ class EventType(enum.Enum):
     WBB_HOLD = "wbb_hold"
     #: held lines were released by the PB's head advancing (``value`` = n).
     WBB_RELEASE = "wbb_release"
-    #: a crash-sweep campaign adjudicated one crash point (``kind`` =
-    #: "ok"/"violation", ``value`` = number of violations; emitted by
-    #: :mod:`repro.crashtest`, not by the simulator).
-    CRASH_POINT = "crash_point"
 
 
 class StallReason(enum.Enum):

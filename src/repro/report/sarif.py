@@ -34,6 +34,9 @@ SARIF_SCHEMA = (
 #: the three SARIF result levels, in ascending severity.
 LEVELS = ("note", "warning", "error")
 
+#: the ``informationUri`` every tool driver reports.
+INFORMATION_URI = "https://example.invalid/repro"
+
 
 @dataclass(frozen=True)
 class SarifRule:
@@ -98,7 +101,6 @@ def make_sarif(
     tool_version: str,
     rules: Sequence[SarifRule],
     results: Sequence[SarifResult],
-    information_uri: str = "https://example.invalid/repro",
 ) -> Dict[str, Any]:
     """Build a SARIF 2.1.0 document with one run."""
     rule_ids = {rule.id for rule in rules}
@@ -143,7 +145,7 @@ def make_sarif(
                     "driver": {
                         "name": tool_name,
                         "version": tool_version,
-                        "informationUri": information_uri,
+                        "informationUri": INFORMATION_URI,
                         "rules": rule_entries,
                     }
                 },
@@ -159,6 +161,7 @@ def dumps(document: Dict[str, Any]) -> str:
 
 
 __all__ = [
+    "INFORMATION_URI",
     "LEVELS",
     "SARIF_SCHEMA",
     "SARIF_VERSION",

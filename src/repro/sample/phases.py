@@ -61,12 +61,12 @@ def _farthest_first(matrix: np.ndarray, k: int) -> np.ndarray:
 
 
 def cluster_intervals(
-    vectors: List[List[float]], k: int, seed: int = 0, iters: int = 32
+    vectors: List[List[float]], k: int, iters: int = 32
 ) -> PhasePlan:
     """Cluster interval fingerprints into (at most) ``k`` phases.
 
-    ``seed`` is accepted for API stability but unused: initialization is
-    farthest-first traversal, which needs no randomness."""
+    Initialization is farthest-first traversal, so clustering needs no
+    randomness and no seed."""
     if not vectors:
         raise ValueError("no intervals to cluster")
     matrix = _normalize(np.asarray(vectors, dtype=np.float64))

@@ -39,7 +39,7 @@ from repro.core.api import (
 from repro.core.machine import PAUSE, YIELD_TURN, Machine
 from repro.core.models import resolve_model
 from repro.sample.fingerprint import fingerprint_intervals
-from repro.sample.phases import PhasePlan, cluster_intervals
+from repro.sample.phases import cluster_intervals
 from repro.sim.config import MachineConfig
 from repro.workloads.registry import get_workload
 
@@ -81,8 +81,6 @@ class SampleConfig:
     warmup_ops: int = 25
     #: trailing intervals simulated exactly (plus the drain).
     tail_intervals: int = 3
-    #: accepted for API stability; clustering is deterministic without it.
-    cluster_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.interval_ops < 1:
@@ -338,7 +336,6 @@ def run_sampled(
         plan = cluster_intervals(
             [intervals.vectors[i] for i in interior],
             cfg.interior_clusters(len(interior)),
-            seed=cfg.cluster_seed,
         )
         reps = [interior[0] + r for r in plan.representatives]
         counts = list(plan.counts)

@@ -123,10 +123,6 @@ class WorkloadResult:
 
     workload: str
     result: RunResult
-    #: observability summary (:meth:`repro.obs.StallProfiler.summary`)
-    #: when the run was traced; None otherwise.  Deliberately excluded
-    #: from :meth:`fingerprint` -- tracing must not change results.
-    obs: Optional[Dict] = None
 
     @property
     def runtime_cycles(self) -> int:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exp import RunSpec
+from repro.obs import StallProfiler
 from repro.obs import events as events_mod
+from repro.workloads.base import run_workload
 
 
 @pytest.fixture
@@ -53,6 +55,7 @@ def test_untraced_run_allocates_no_events(event_counter, model):
 def test_traced_run_does_allocate_events(event_counter):
     """Sanity check: the counting hook sees traced-run allocations."""
     spec = RunSpec("bandwidth", "asap_rp", ops_per_thread=24, num_threads=2,
-                   seed=7, events=True)
-    spec.execute()
+                   seed=7)
+    run_workload(spec.build_workload(), spec.machine, spec.run_config(),
+                 num_threads=spec.num_threads, sinks=[StallProfiler()])
     assert len(event_counter) > 0

@@ -1,4 +1,4 @@
-"""Campaign driver: smoke sweep, spec identity, caching, events."""
+"""Campaign driver: smoke sweep, spec identity, caching."""
 
 import json
 
@@ -6,13 +6,12 @@ import pytest
 
 from repro.crashtest import CrashCellSpec, adjudicate, run_campaign
 from repro.exp import ResultCache, execute_spec
-from repro.obs.events import EventType
 
 
 def _smoke(**kwargs):
     defaults = dict(
         workloads=["queue"], models=["asap"], points=8,
-        ops_per_thread=6, jobs=1,
+        ops_per_thread=6,
     )
     defaults.update(kwargs)
     return run_campaign(**defaults)
@@ -93,27 +92,6 @@ def test_campaign_cache_round_trip(tmp_path):
     second = _smoke(cache=cache)
     assert (second.cache_hits, second.cache_misses) == (1, 0)
     assert first.to_json() == second.to_json()
-
-
-def test_campaign_emits_one_event_per_point():
-    class Collector:
-        def __init__(self):
-            self.events = []
-
-        def handle(self, event):
-            self.events.append(event)
-
-        def close(self):
-            pass
-
-    sink = Collector()
-    report = _smoke(sinks=[sink])
-    assert len(sink.events) == report.total_points
-    for event in sink.events:
-        assert event.type is EventType.CRASH_POINT
-        assert event.comp == "crashtest"
-        assert event.kind == "queue/asap:ok"
-        assert event.value is None  # ok points carry no violation count
 
 
 def test_report_shape():

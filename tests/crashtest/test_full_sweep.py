@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.models import RP_MODELS
 from repro.crashtest import run_campaign
+from repro.exp import ParallelExecutor
 from repro.workloads.registry import SUITE
 
 pytestmark = pytest.mark.crash
@@ -58,7 +59,7 @@ def test_stock_suite_survives_every_crash_point():
     names = [cls.name for cls in SUITE]
     report = run_campaign(
         names, models=list(RP_MODELS), points=POINTS,
-        ops_per_thread=OPS_PER_THREAD, jobs=_jobs(),
+        ops_per_thread=OPS_PER_THREAD, executor=ParallelExecutor(_jobs()),
     )
     failing = {
         (cell.workload, cell.model): [r.crash_cycle for r in cell.failures]
@@ -76,6 +77,7 @@ def test_stock_suite_survives_every_crash_point():
 def test_sweep_reports_are_byte_identical_across_runs():
     kwargs = dict(
         workloads=["cceh", "p_art"], models=list(RP_MODELS),
-        points=POINTS, ops_per_thread=OPS_PER_THREAD, jobs=_jobs(),
+        points=POINTS, ops_per_thread=OPS_PER_THREAD,
+        executor=ParallelExecutor(_jobs()),
     )
     assert run_campaign(**kwargs).to_json() == run_campaign(**kwargs).to_json()

@@ -17,13 +17,15 @@ their serialized form.
 import pytest
 
 from repro.crashtest import loads_state, replay_failure, run_campaign
+from repro.exp import ParallelExecutor
 
 
 @pytest.fixture(scope="module")
 def buggy_report(tmp_path_factory):
     save_dir = tmp_path_factory.mktemp("buggy-failures")
     report = run_campaign(
-        ["buggy_demo"], models=["asap_rp"], points=60, jobs=2,
+        ["buggy_demo"], models=["asap_rp"], points=60,
+        executor=ParallelExecutor(jobs=2),
         save_dir=str(save_dir),
     )
     return report
@@ -33,7 +35,8 @@ def buggy_report(tmp_path_factory):
 def ablation_report(tmp_path_factory):
     save_dir = tmp_path_factory.mktemp("ablation-failures")
     report = run_campaign(
-        ["xpub"], models=["asap_no_undo"], points=40, jobs=2,
+        ["xpub"], models=["asap_no_undo"], points=40,
+        executor=ParallelExecutor(jobs=2),
         save_dir=str(save_dir),
     )
     return report

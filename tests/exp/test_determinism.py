@@ -44,12 +44,6 @@ class TestSerialVsParallel:
             assert s_run.stats_dict() == p_run.stats_dict()
             assert s_run.fingerprint() == p_run.fingerprint()
 
-    def test_jobs_kwarg_equivalent(self, serial_outcome):
-        parallel = run_plan(small_plan(), jobs=2)
-        assert [r.fingerprint() for r in parallel.results] == [
-            r.fingerprint() for r in serial_outcome.results
-        ]
-
     def test_rerun_is_deterministic(self, serial_outcome):
         again = run_plan(small_plan())
         assert [r.fingerprint() for r in again.results] == [
@@ -92,7 +86,9 @@ class TestCacheHitVsMiss:
 
     def test_parallel_populates_cache_serial_reads_it(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_plan(small_plan(), jobs=2, cache=cache)
+        cold = run_plan(
+            small_plan(), cache=cache, executor=ParallelExecutor(jobs=2)
+        )
         warm = run_plan(small_plan(), cache=cache)
         assert warm.cache_hits == len(small_plan())
         assert [r.fingerprint() for r in warm.results] == [

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.core.models import STANDARD_MODELS
-from repro.exp import run_grid
+from repro.exp import ParallelExecutor, run_grid
 from repro.sim.config import MachineConfig
 from repro.workloads import SUITE
 
@@ -71,7 +71,8 @@ def test_four_workers_halve_the_grid_wall_clock():
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_grid(SUITE, STANDARD_MODELS, jobs=4, **grid)
+    parallel = run_grid(SUITE, STANDARD_MODELS,
+                        executor=ParallelExecutor(jobs=4), **grid)
     t_parallel = time.perf_counter() - start
 
     for key in serial.runs:
@@ -91,7 +92,8 @@ def test_parallel_never_changes_results_even_on_one_core():
         SUITE[:2], STANDARD_MODELS[:2], machine, ops_per_thread=15
     )
     parallel = run_grid(
-        SUITE[:2], STANDARD_MODELS[:2], machine, ops_per_thread=15, jobs=2
+        SUITE[:2], STANDARD_MODELS[:2], machine, ops_per_thread=15,
+        executor=ParallelExecutor(jobs=2),
     )
     assert {
         k: v.fingerprint() for k, v in serial.runs.items()

@@ -109,3 +109,24 @@ class TestCLI:
         capsys.readouterr()
         assert main(cached_args) == 0  # all hits
         assert capsys.readouterr().out == fresh
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(argv, flag)
+         for argv in (["run", "queue"], ["compare", "--workloads", "queue"],
+                      ["timeline", "queue"], ["sample", "queue"],
+                      ["fabric", "grid", "--serial"],
+                      ["crash", "queue", "--at", "100"])
+         for flag in ("--ops", "--threads", "--mcs")]
+        + [(["lint", "queue"], "--ops"), (["lint", "queue"], "--threads")],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_sizes_below_one_exit_2(self, capsys, argv, flag):
+        """Every size flag takes positive integers only: no silent default
+        op count, no traceback from the machine config."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "at least 1" in captured.err
+        assert captured.out == ""

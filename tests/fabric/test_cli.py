@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.exp import ResultCache
 
 
 def _run(capsys, *argv):
@@ -57,9 +59,15 @@ def test_grid_cache_round_trip(capsys, tmp_path):
     assert code == 0 and "cache hits 2" in second
 
 
+def _usage_error(*argv):
+    """The exit status of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    return exit_info.value.code
+
+
 def test_worker_requires_queue_and_idles_out(capsys, tmp_path):
-    code, _ = _run(capsys, "worker")
-    assert code == 2
+    assert _usage_error("fabric", "worker") == 2
     code, out = _run(
         capsys, "worker", "--queue", str(tmp_path / "q"),
         "--max-idle", "0.2", "--worker-id", "w-test",
@@ -69,8 +77,7 @@ def test_worker_requires_queue_and_idles_out(capsys, tmp_path):
 
 
 def test_status_reports_queue_counts(capsys, tmp_path):
-    code, _ = _run(capsys, "status")
-    assert code == 2
+    assert _usage_error("fabric", "status") == 2
     queue_dir = tmp_path / "q"
     code, out = _run(capsys, "grid", *GRID, "--jobs", "2",
                      "--queue", str(queue_dir))
@@ -81,6 +88,57 @@ def test_status_reports_queue_counts(capsys, tmp_path):
     assert doc["tasks"] == 2
     assert doc["results"] == 2
     assert doc["stopped"] is True  # the grid run stopped its workers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worker", "--queue", "q", "--max-idle", "0.1", "--chaos-kill", "1",
+         "--stream", "ws.jsonl", "--serial", "--workloads", "queue",
+         "--out", "x.json"],
+        ["status", "--queue", "q", "--jobs", "3", "--serial", "--ops", "5"],
+        ["grid", *GRID, "--serial", "--jobs", "2"],
+    ],
+    ids=["worker", "status", "grid-serial-jobs"],
+)
+def test_modes_reject_flags_they_do_not_read(
+    capsys, tmp_path, monkeypatch, argv
+):
+    """Each mode parses only its own flags; any other is exit 2, and
+    nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    assert _usage_error("fabric", *argv) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fabric_campaign_writes_each_fresh_cell_once(
+    capsys, tmp_path, monkeypatch
+):
+    """The driver alone stores fresh results: the fabric's workers,
+    forked with this counting patch in place, write no cache entry."""
+    log = tmp_path / "puts.log"
+    put = ResultCache.put
+
+    def counting_put(self, spec, result):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {spec.key()}\n")
+        put(self, spec, result)
+
+    monkeypatch.setattr(ResultCache, "put", counting_put)
+    argv = ["crashtest", "queue", "--models", "baseline", "asap",
+            "--points", "4", "--ops", "8", "--fabric", "--jobs", "2",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    writes = [line.split() for line in log.read_text().splitlines()]
+    assert len(writes) == 2  # two cells, one write each
+    assert len({key for _pid, key in writes}) == 2
+    assert {pid for pid, _key in writes} == {str(os.getpid())}
+    # a rerun is served from the cache: the same report, no write.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(log.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.report import SARIF_SCHEMA, SARIF_VERSION
 
@@ -26,6 +28,18 @@ class TestLitmusCli:
     def test_unknown_test_is_an_error(self, capsys):
         assert main(["litmus", "nope"]) == 2
         assert "unknown litmus test" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "selection", [["--smoke"], ["mp_fenced"]], ids=["smoke", "named"]
+    )
+    @pytest.mark.parametrize("points", ["0", "-4"])
+    def test_points_below_one_is_an_error(self, capsys, selection, points):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["litmus", *selection, "--points", points])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--points" in captured.err and "at least 1" in captured.err
+        assert captured.out == ""
 
     def test_single_test_passes_gate(self, capsys):
         assert main(["litmus", "flush_ofence", "--points", "6"]) == 0

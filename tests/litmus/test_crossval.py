@@ -173,20 +173,33 @@ class TestCheckerHasTeeth:
         assert self._violations(shape, model) == []
 
 
+class RefusingExecutor:
+    """Fails any run that gets as far as simulating a cell."""
+
+    jobs = 1
+
+    def map(self, fn, items):
+        raise AssertionError("simulated a run that should be rejected")
+
+
 def test_duplicate_test_names_are_rejected_before_simulating():
     """Cells are matched to allowed sets by test name, so two programs
     sharing one would diff a cell against the other's allowed set."""
     fenced, unfenced = build_corpus(names=["mp_fenced", "mp_unfenced"])
     renamed = dataclasses.replace(unfenced, name="mp_fenced")
 
-    class RefusingExecutor:
-        jobs = 1
-
-        def map(self, fn, items):
-            raise AssertionError("simulated despite duplicate test names")
-
     with pytest.raises(ValueError, match="mp_fenced"):
         run_litmus(
             [fenced, renamed],
             LitmusRunOptions(points=4, executor=RefusingExecutor()),
+        )
+
+
+@pytest.mark.parametrize("points", [0, -4])
+def test_points_below_one_are_rejected_before_simulating(points):
+    """As in a crash campaign: a cell needs at least one crash point."""
+    with pytest.raises(ValueError, match="at least 1 point"):
+        run_litmus(
+            build_corpus(names=["mp_fenced"]),
+            LitmusRunOptions(points=points, executor=RefusingExecutor()),
         )

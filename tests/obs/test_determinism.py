@@ -3,46 +3,45 @@
 Two contracts, both load-bearing for the result cache:
 
 1. **Zero perturbation**: a traced run and an untraced run of the same
-   spec produce byte-identical gem5-style stats files (and identical
+   cell produce byte-identical gem5-style stats files (and identical
    result fingerprints).  Sinks only observe; they never schedule
    events or touch counters.
-2. **Key stability**: ``RunSpec.key()`` for an *untraced* spec is
-   computed from exactly the same fields as before tracing existed, so
-   every previously cached result stays addressable.  Only traced specs
-   add the ``events`` field.
+2. **Key stability**: ``RunSpec.key()`` is computed from exactly the
+   fields it had before tracing existed, so every previously cached
+   result stays addressable.  Tracing is not part of a spec: a traced
+   run is ``run_workload(..., sinks=[...])``.
 """
 
 import pytest
 
 from repro.analysis.statsfile import format_stats
 from repro.exp import RunSpec
+from repro.obs import StallProfiler
 from repro.sim.config import MachineConfig
+from repro.workloads.base import run_workload
 
 MODELS = ["baseline", "hops_rp", "asap_rp", "eadr"]
 
 TINY = MachineConfig(num_cores=2, pb_entries=4, wpq_entries=4)
 
 
-def spec(model, **kw):
-    base = dict(machine=TINY, ops_per_thread=50, num_threads=2, seed=3)
-    base.update(kw)
-    return RunSpec("queue", model, **base)
+def spec(model):
+    return RunSpec("queue", model, machine=TINY, ops_per_thread=50,
+                   num_threads=2, seed=3)
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_traced_run_is_byte_identical_to_untraced(model):
-    untraced = spec(model).execute()
-    traced = spec(model, events=True).execute()
+    cell = spec(model)
+    untraced = cell.execute()
+    profiler = StallProfiler()
+    traced = run_workload(
+        cell.build_workload(), cell.machine, cell.run_config(),
+        num_threads=cell.num_threads, sinks=[profiler],
+    )
+    assert profiler.summary()["events_seen"] > 0
     assert format_stats(untraced.result) == format_stats(traced.result)
     assert untraced.fingerprint() == traced.fingerprint()
-
-
-def test_traced_spec_attaches_obs_summary_untraced_does_not():
-    assert spec("asap_rp").execute().obs is None
-    obs = spec("asap_rp", events=True).execute().obs
-    assert obs is not None
-    assert "totals" in obs and "by_epoch" in obs
-    assert obs["events_seen"] > 0
 
 
 def test_untraced_describe_has_the_pre_tracing_field_set():
@@ -51,23 +50,3 @@ def test_untraced_describe_has_the_pre_tracing_field_set():
         "schema", "workload", "hardware", "persistency", "machine",
         "run_config", "ops_per_thread", "num_threads", "seed",
     }
-
-
-def test_untraced_key_ignores_the_events_field_default():
-    a = spec("asap_rp")
-    b = spec("asap_rp", events=False)
-    assert a.key() == b.key()
-
-
-def test_traced_spec_gets_its_own_cache_key():
-    assert spec("asap_rp").key() != spec("asap_rp", events=True).key()
-
-
-def test_traced_results_cache_and_replay(tmp_path):
-    from repro.exp import ExperimentPlan, ResultCache, run_plan
-
-    cache = ResultCache(tmp_path)
-    s = spec("asap_rp", events=True)
-    first = run_plan(ExperimentPlan([s]), cache=cache)
-    second = run_plan(ExperimentPlan([s]), cache=cache)
-    assert first.results[0].fingerprint() == second.results[0].fingerprint()
