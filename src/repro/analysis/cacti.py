@@ -29,7 +29,7 @@ Recovery Table    0.097       0.413          31.5          31.5
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 #: Table II capacities the reference numbers were computed at.
 REF_ENTRIES = 32

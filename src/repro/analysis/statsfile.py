@@ -10,7 +10,7 @@ artifact names.
 from __future__ import annotations
 
 import pathlib
-from typing import Dict, Optional, Union
+from typing import Union
 
 from repro.core.machine import RunResult
 

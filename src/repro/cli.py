@@ -293,9 +293,21 @@ def cmd_crashtest(args) -> int:
     from repro.crashtest import replay_failure, run_campaign
     from repro.workloads.registry import SUITE
 
-    if not args.fabric and _fabric_only(args, "crashtest", "add --fabric"):
-        return 2
     if args.replay:
+        # Replay re-adjudicates one saved state; any argument that parses
+        # differently from ``crashtest --replay FILE`` alone would be
+        # silently ignored.
+        alone = vars(build_parser().parse_args(
+            ["crashtest", "--replay", args.replay]))
+        given = [
+            "the workload" if name == "workload"
+            else "--" + name.replace("_", "-")
+            for name, value in vars(args).items() if value != alone[name]
+        ]
+        if given:
+            print(f"crashtest: --replay takes no other argument; given: "
+                  f"{', '.join(given)}", file=sys.stderr)
+            return 2
         try:
             report = replay_failure(args.replay)
         except ValueError as exc:
@@ -313,6 +325,8 @@ def cmd_crashtest(args) -> int:
             print(f"  oracle:  {v}")
         return 0 if report["reproduced"] else 1
 
+    if not args.fabric and _fabric_only(args, "crashtest", "add --fabric"):
+        return 2
     if not args.all and not args.workload:
         print("crashtest: provide a workload name or --all", file=sys.stderr)
         return 2

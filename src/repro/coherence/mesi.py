@@ -2,10 +2,9 @@
 
 Table II specifies "MESI three level"; this module models the protocol
 explicitly: per line, each core is in Modified / Exclusive / Shared /
-Invalid, with a directory tracking the owner and sharer set.  It is a
-drop-in superset of :class:`repro.coherence.directory.Directory` -- the
-machine consumes the same owner/sharer queries for dependence tracking --
-but makes the protocol events first-class:
+Invalid, with a directory tracking the owner and sharer set.  The machine
+queries the owner (the last writer and its epoch) for dependence
+tracking, and the protocol events are first-class:
 
 - reads take a line to **E** (no sharers) or **S** (downgrading an **M**
   or **E** holder, which is a cache-to-cache transfer);
@@ -25,7 +24,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.coherence.directory import OwnerInfo
 from repro.sim.stats import StatsRegistry
 
 
@@ -37,6 +35,14 @@ class LineState(enum.Enum):
 
 
 _NO_CORES: List[int] = []
+
+
+@dataclass(frozen=True)
+class OwnerInfo:
+    """Who last wrote a line, and in which epoch."""
+
+    core: int
+    epoch_ts: int
 
 
 class Transition:
@@ -178,7 +184,7 @@ class MESIDirectory:
             entry.last_writer = OwnerInfo(core=core, epoch_ts=epoch_ts)
 
     # ------------------------------------------------------------------
-    # queries (Directory-compatible surface)
+    # queries
     # ------------------------------------------------------------------
 
     def state_of(self, core: int, line: int) -> LineState:
@@ -190,13 +196,6 @@ class MESIDirectory:
     def owner_of(self, line: int) -> Optional[OwnerInfo]:
         entry = self._lines.get(line)
         return entry.last_writer if entry else None
-
-    def conflicting_access(self, line: int, core: int) -> Optional[OwnerInfo]:
-        owner = self.owner_of(line)
-        if owner is None or owner.core == core:
-            return None
-        self.stats.inc("directory_remote_hits")
-        return owner
 
     def sharers_of(self, line: int) -> Set[int]:
         entry = self._lines.get(line)
@@ -233,4 +232,4 @@ class MESIDirectory:
             )
 
 
-__all__ = ["LineState", "MESIDirectory", "Transition"]
+__all__ = ["LineState", "MESIDirectory", "OwnerInfo", "Transition"]

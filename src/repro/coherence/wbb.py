@@ -11,9 +11,10 @@ waiting on and releases the line when the buffer flushes past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.obs.events import EventType
+from repro.obs.tracer import Tracer
 from repro.sim.stats import StatsRegistry
 
 
@@ -27,16 +28,22 @@ class WBBEntry:
 class WriteBackBuffer:
     """Per-core buffer of evictions waiting on persist-buffer flushes."""
 
-    def __init__(self, capacity: int, stats: StatsRegistry, scope: str) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        stats: StatsRegistry,
+        scope: str,
+        core: Optional[int] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
         self.capacity = capacity
         self.stats = stats
         self.scope = scope
         self._entries: List[WBBEntry] = []
-        #: optional :class:`repro.obs.Tracer` + owning core index, wired
-        #: by the machine assembler (the WBB itself has no engine handle;
-        #: the tracer stamps timestamps).
-        self.tracer = None
-        self.core = None
+        #: optional :class:`repro.obs.Tracer` + owning core index (the WBB
+        #: itself has no engine handle; the tracer stamps timestamps).
+        self.tracer = tracer
+        self.core = core
 
     def __len__(self) -> int:
         return len(self._entries)

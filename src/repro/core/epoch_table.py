@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventType
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine, Waiter  # noqa: F401  (Engine in API)
 from repro.sim.stats import StatsRegistry
 from repro.core.epoch import EpochEntry, EpochId
@@ -36,6 +37,7 @@ class EpochTable:
         stats: StatsRegistry,
         scope: str,
         core: int,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.capacity = capacity
@@ -52,7 +54,7 @@ class EpochTable:
         self._strand_counter = 0
         self.entries[1] = EpochEntry(ts=1, prev=None, strand=0)
         #: optional :class:`repro.obs.Tracer`; None = tracing off.
-        self.tracer = None
+        self.tracer = tracer
         self.space_waiter = Waiter(engine)
         self._commit_waiters: List[Tuple[int, Callable[[], None]]] = []
 
@@ -303,7 +305,7 @@ class GlobalTSRegister:
     def __init__(
         self,
         stats: StatsRegistry,
-        engine: Optional[Engine] = None,
+        engine: Engine,
         access_cycles: int = 50,
     ) -> None:
         self.stats = stats
@@ -315,8 +317,6 @@ class GlobalTSRegister:
 
     def _serialize(self) -> int:
         """Claim the next access slot; return the cycle it completes."""
-        if self.engine is None:
-            return 0
         start = max(self.engine.now, self._busy_until)
         self._busy_until = start + self.access_cycles
         return self._busy_until
@@ -329,9 +329,6 @@ class GlobalTSRegister:
         a single pending update.  Reads are the contended path -- see
         :meth:`read_done_at`."""
         self.stats.inc("global_ts_writes")
-        if self.engine is None:
-            self._committed[core] = committed_upto
-            return
         if core in self._pending:
             self._pending[core] = max(self._pending[core], committed_upto)
             return

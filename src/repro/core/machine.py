@@ -48,8 +48,7 @@ from repro.mem.controller import (
 from repro.mem.interleave import AddressMap
 from repro.coherence.bloom import CountingBloomFilter
 from repro.coherence.cache import Cache, CacheHierarchy
-from repro.coherence.directory import OwnerInfo
-from repro.coherence.mesi import MESIDirectory
+from repro.coherence.mesi import MESIDirectory, OwnerInfo
 from repro.coherence.wbb import WriteBackBuffer
 from repro.core.api import (
     Acquire,
@@ -166,9 +165,9 @@ class _CoreUnit:
         #: cycle at which the core last parked (straggler-skew-free
         #: window timing for the sampling pipeline).
         self.park_time: Optional[int] = None
-        # Snapshot the hot collaborators: cores are built after the tracer
-        # is attached, so `advance` pays one local load instead of two
-        # attribute chains per retired op.
+        # Snapshot the hot collaborators: cores are built after the
+        # machine is assembled, so `advance` pays one local load instead of
+        # two attribute chains per retired op.
         self._tracer = machine.tracer
         self._dispatch = machine.dispatch
         #: per-core fence counters, bound on first fence (see Machine).
@@ -297,8 +296,6 @@ class Machine:
         self._build_controllers(hardware)
         self._build_paths(hardware)
         self._build_caches()
-        if self.tracer is not None:
-            self._attach_tracer()
         #: concrete op type -> handler; insertion order mirrors the old
         #: isinstance chain (see :meth:`dispatch`).
         self._op_handlers: Dict[type, Callable[[_CoreUnit, Op], None]] = {
@@ -328,6 +325,8 @@ class Machine:
                     self.config.rt_entries,
                     self.stats,
                     scope=f"mc{index}",
+                    mc=index,
+                    tracer=self.tracer,
                 )
                 if needs_rt
                 else None
@@ -344,6 +343,7 @@ class Machine:
                 index,
                 recovery_table=rt,
                 bloom_filter=bloom,
+                tracer=self.tracer,
             )
             mc.respond = self._route_response
             mc.vorpal = self.vorpal
@@ -355,38 +355,43 @@ class Machine:
         self.global_ts = GlobalTSRegister(
             self.stats, self.engine, self.config.hops_poll_access_cycles
         )
+        tracer = self.tracer
         for core in range(self.config.num_cores):
             transport = Transport(
                 flush=self._make_flush_sender(core),
                 commit=self._send_commit,
                 cdr=self._send_cdr,
+                mc_of=self.amap.mc_of_line,
             )
             if hardware is HardwareModel.BASELINE:
                 path: PersistencePath = BaselinePath(
-                    self.engine, self.config, self.stats, core, transport
+                    self.engine, self.config, self.stats, core, transport,
+                    tracer=tracer,
                 )
             elif hardware is HardwareModel.HOPS:
                 path = HOPSPath(
                     self.engine, self.config, self.stats, core, transport,
-                    self.global_ts,
+                    self.global_ts, tracer=tracer,
                 )
             elif hardware is HardwareModel.ASAP:
                 path = ASAPPath(
-                    self.engine, self.config, self.stats, core, transport
+                    self.engine, self.config, self.stats, core, transport,
+                    tracer=tracer,
                 )
-                path._mc_of = self.amap.mc_of_line
             elif hardware is HardwareModel.ASAP_NO_UNDO:
                 path = ASAPNoUndoPath(
-                    self.engine, self.config, self.stats, core, transport
+                    self.engine, self.config, self.stats, core, transport,
+                    tracer=tracer,
                 )
-                path._mc_of = self.amap.mc_of_line
             elif hardware is HardwareModel.VORPAL:
                 path = VorpalPath(
                     self.engine, self.config, self.stats, core, transport,
-                    self.vorpal,
+                    self.vorpal, tracer=tracer,
                 )
             elif hardware is HardwareModel.EADR:
-                path = EADRPath(self.engine, self.config, self.stats, core)
+                path = EADRPath(
+                    self.engine, self.config, self.stats, core, tracer=tracer
+                )
             else:
                 raise ValueError(f"unknown hardware model: {hardware}")
             self.paths.append(path)
@@ -397,7 +402,10 @@ class Machine:
         self.wbbs: List[WriteBackBuffer] = []
         for core in range(self.config.num_cores):
             scope = f"core{core}"
-            wbb = WriteBackBuffer(self.config.wbb_entries, self.stats, scope)
+            wbb = WriteBackBuffer(
+                self.config.wbb_entries, self.stats, scope, core=core,
+                tracer=self.tracer,
+            )
             self.wbbs.append(wbb)
             hierarchy = CacheHierarchy(
                 l1=Cache(self.config.l1, self.stats, scope=f"{scope}.l1"),
@@ -411,26 +419,6 @@ class Machine:
             path = self.paths[core]
             if path.has_persist_buffer:
                 path.pb.on_head_advance = self._make_head_advance(core)
-
-    def _attach_tracer(self) -> None:
-        """Wire the tracer into every component that emits events.
-
-        Components default to ``tracer = None``; this keeps construction
-        free of observability arguments and makes the traced/untraced
-        decision a single post-assembly pass."""
-        tracer = self.tracer
-        for path in self.paths:
-            path.attach_tracer(tracer)
-        for mc in self.mcs:
-            mc.tracer = tracer
-            mc.wpq.tracer = tracer
-            mc.wpq.mc = mc.index
-            if mc.recovery_table is not None:
-                mc.recovery_table.tracer = tracer
-                mc.recovery_table.mc = mc.index
-        for core, wbb in enumerate(self.wbbs):
-            wbb.tracer = tracer
-            wbb.core = core
 
     def _demand_read_latency(self, line: int) -> int:
         self.stats.inc("pm_demand_reads")
@@ -589,6 +577,8 @@ class Machine:
         if self.run_config.persistency is PersistencyModel.EPOCH:
             # The source thread replies with its epoch and starts a new
             # one; the requester starts a new epoch that depends on it.
+            # New epochs on both sides keep the epoch dependency graph
+            # acyclic (Lemma 0.1).
             src_path = self.paths[source.core]
             if src_path.tracks_dependencies and src_path.epoch_uncommitted(
                 source.epoch_ts
@@ -650,22 +640,16 @@ class Machine:
                 "dfences", scope=f"core{core.index}"
             )
         counter.inc()
-        if self.tracer is None:
-            self.paths[core.index].on_dfence(
-                lambda: self.engine.schedule(FENCE_ISSUE_CYCLES, core.advance)
-            )
-        else:
-            self.tracer.emit(
-                EventType.DFENCE_BEGIN, "core", core=core.index
-            )
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(EventType.DFENCE_BEGIN, "core", core=core.index)
 
-            def dfence_done() -> None:
-                self.tracer.emit(
-                    EventType.DFENCE_END, "core", core=core.index
-                )
-                self.engine.schedule(FENCE_ISSUE_CYCLES, core.advance)
+        def dfence_done() -> None:
+            if tracer is not None:
+                tracer.emit(EventType.DFENCE_END, "core", core=core.index)
+            self.engine.schedule(FENCE_ISSUE_CYCLES, core.advance)
 
-            self.paths[core.index].on_dfence(dfence_done)
+        self.paths[core.index].on_dfence(dfence_done)
 
     def _do_new_strand(self, core: _CoreUnit, op: NewStrand) -> None:
         path = self.paths[core.index]

@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.events import EventType, StallReason
+from repro.obs.events import REASON_COUNTERS, EventType, StallReason
+from repro.obs.tracer import Tracer
 from repro.sim.config import (
     HardwareModel,
     MachineConfig,
@@ -155,6 +156,8 @@ class Transport:
     commit: Callable[[int, int, int, Callable[[], None]], None]
     #: deliver a CDR message to a dependent epoch on another core.
     cdr: Callable[[EpochId], None]
+    #: index of the memory controller a line interleaves to.
+    mc_of: Callable[[int], int]
 
 
 class PersistencePath:
@@ -176,6 +179,7 @@ class PersistencePath:
         config: MachineConfig,
         stats: StatsRegistry,
         core: int,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -184,15 +188,34 @@ class PersistencePath:
         self.scope = f"core{core}"
         self._ts = 1
         #: optional :class:`repro.obs.Tracer`; None = tracing off.
-        self.tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Wire an observability tracer into this path's components.
-
-        Subclasses extend this to reach their persist buffer / epoch
-        table.  Attaching must happen before the machine runs; it never
-        alters simulated behaviour (pure observation)."""
         self.tracer = tracer
+
+    # -- core stalls ------------------------------------------------------
+
+    def _stall_begin(self, reason: StallReason, epoch: int) -> int:
+        """Open a core stall interval; returns its start cycle."""
+        if self.tracer is not None:
+            self.tracer.emit(
+                EventType.STALL_BEGIN, "core", core=self.core, epoch=epoch,
+                reason=reason,
+            )
+        return self.engine.now
+
+    def _stall_end(self, reason: StallReason, epoch: int, started: int) -> None:
+        """Close a core stall interval opened at cycle ``started``.
+
+        The one place a core stall is both counted in the registry (when
+        ``reason`` has a counter) and traced, with the same length, which
+        is what keeps the stall profiler conserved against the registry."""
+        dur = self.engine.now - started
+        counter = REASON_COUNTERS.get(reason)
+        if counter is not None:
+            self.stats.inc(counter, dur, scope=self.scope)
+        if self.tracer is not None:
+            self.tracer.emit(
+                EventType.STALL_END, "core", core=self.core, epoch=epoch,
+                reason=reason, dur=dur,
+            )
 
     # -- epoch bookkeeping ------------------------------------------------
 
@@ -281,8 +304,12 @@ class BaselinePath(PersistencePath):
 
     has_persist_buffer = True
 
-    def __init__(self, engine, config, stats, core, transport: Transport) -> None:
-        super().__init__(engine, config, stats, core)
+    def __init__(
+        self, engine, config, stats, core, transport: Transport,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        super().__init__(engine, config, stats, core, tracer)
+        self.transport = transport
         self.pb = PersistBuffer(
             engine,
             config.pb_entries,
@@ -291,72 +318,46 @@ class BaselinePath(PersistencePath):
             self.scope,
             core,
             inflight_max=config.pb_inflight_max,
+            tracer=tracer,
         )
         self.pb.select_entry = select_fifo_any
         self.pb.send_flush = transport.flush
 
-    def attach_tracer(self, tracer) -> None:
-        super().attach_tracer(tracer)
-        self.pb.tracer = tracer
-
     def on_store(self, line: int, write_id: int, done: Callable[[], None]) -> None:
-        self._enqueue(line, write_id, done, stall_started=None)
+        self._enqueue(line, write_id, done, None)
 
     def _enqueue(
         self, line: int, write_id: int, done: Callable[[], None],
-        stall_started: Optional[int],
+        started: Optional[int],
     ) -> None:
-        outcome = self.pb.enqueue(line, write_id, self._ts)
+        ts = self.current_ts
+        outcome = self.pb.enqueue(line, write_id, ts)
         if outcome is EnqueueResult.FULL:
-            if stall_started is None and self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_BEGIN, "core", core=self.core,
-                    epoch=self._ts, reason=StallReason.PB_FULL,
-                )
-            started = stall_started if stall_started is not None else self.engine.now
+            if started is None:
+                started = self._stall_begin(StallReason.PB_FULL, ts)
             self.pb.space_waiter.wait(
                 lambda: self._enqueue(line, write_id, done, started)
             )
             return
-        if stall_started is not None:
-            self.stats.inc(
-                "cyclesStalled", self.engine.now - stall_started, scope=self.scope
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_END, "core", core=self.core,
-                    epoch=self._ts, reason=StallReason.PB_FULL,
-                    dur=self.engine.now - stall_started,
-                )
+        if outcome is EnqueueResult.ADDED:
+            self._store_added(ts)
+        if started is not None:
+            self._stall_end(StallReason.PB_FULL, ts, started)
         done()
 
-    #: drain-stat name -> the stall-attribution reason it maps to.
-    _DRAIN_REASONS = {
-        "sfenceStalled": StallReason.SFENCE,
-        "dfenceStalled": StallReason.DFENCE,
-    }
+    def _store_added(self, ts: int) -> None:
+        """A store took a new persist-buffer entry in epoch ``ts``."""
 
-    def _drain_then(self, done: Callable[[], None], stat: str) -> None:
+    def _drain_then(self, done: Callable[[], None], reason: StallReason) -> None:
         if self.pb.empty:
             done()
             return
-        started = self.engine.now
         epoch = self._ts
-        if self.tracer is not None:
-            self.tracer.emit(
-                EventType.STALL_BEGIN, "core", core=self.core, epoch=epoch,
-                reason=self._DRAIN_REASONS[stat],
-            )
+        started = self._stall_begin(reason, epoch)
 
         def finish() -> None:
             if self.pb.empty:
-                self.stats.inc(stat, self.engine.now - started, scope=self.scope)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        EventType.STALL_END, "core", core=self.core,
-                        epoch=epoch, reason=self._DRAIN_REASONS[stat],
-                        dur=self.engine.now - started,
-                    )
+                self._stall_end(reason, epoch, started)
                 done()
             else:
                 self.pb.drain_waiter.wait(finish)
@@ -365,54 +366,45 @@ class BaselinePath(PersistencePath):
 
     def on_ofence(self, done: Callable[[], None]) -> None:
         self.split_epoch()
-        self._drain_then(done, "sfenceStalled")
+        self._drain_then(done, StallReason.SFENCE)
 
     def on_dfence(self, done: Callable[[], None]) -> None:
         self.split_epoch()
-        self._drain_then(done, "dfenceStalled")
+        self._drain_then(done, StallReason.DFENCE)
 
     def on_release_boundary(self, done: Callable[[], None]) -> None:
         # Real PMDK-style code issues clwb+sfence before unlocking so the
         # next lock holder observes durable data.
         self.split_epoch()
-        self._drain_then(done, "sfenceStalled")
+        self._drain_then(done, StallReason.SFENCE)
 
     def on_program_end(self, done: Callable[[], None]) -> None:
         self.split_epoch()
-        self._drain_then(done, "dfenceStalled")
+        self._drain_then(done, StallReason.DFENCE)
 
     def is_drained(self) -> bool:
         return self.pb.empty
 
 
-class BufferedPath(PersistencePath):
-    """Shared machinery for the epoch-table designs (HOPS and ASAP)."""
+class BufferedPath(BaselinePath):
+    """Shared machinery for the epoch-table designs (HOPS and ASAP).
 
-    has_persist_buffer = True
+    The persist buffer and its store path are the baseline's; the epoch
+    table replaces the baseline's fence drains with epoch ordering."""
+
     tracks_dependencies = True
 
-    def __init__(self, engine, config, stats, core, transport: Transport) -> None:
-        super().__init__(engine, config, stats, core)
-        self.transport = transport
-        self.et = EpochTable(engine, config.et_entries, stats, self.scope, core)
-        self.pb = PersistBuffer(
-            engine,
-            config.pb_entries,
-            ns_to_cycles(config.pb_issue_ns),
-            stats,
-            self.scope,
-            core,
-            inflight_max=config.pb_inflight_max,
+    def __init__(
+        self, engine, config, stats, core, transport: Transport,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        super().__init__(engine, config, stats, core, transport, tracer)
+        self.et = EpochTable(
+            engine, config.et_entries, stats, self.scope, core, tracer=tracer
         )
-        self.pb.send_flush = transport.flush
         self.pb.classify_early = lambda ts: not self.et.is_safe(ts)
         self.pb.on_acked = lambda entry: self.et.on_write_acked(entry.epoch_ts)
         self.et.on_progress = self._on_progress
-
-    def attach_tracer(self, tracer) -> None:
-        super().attach_tracer(tracer)
-        self.pb.tracer = tracer
-        self.et.tracer = tracer
 
     # epoch numbering is delegated to the epoch table ----------------------
 
@@ -440,92 +432,40 @@ class BufferedPath(PersistencePath):
 
     # op hooks --------------------------------------------------------------
 
-    def on_store(self, line: int, write_id: int, done: Callable[[], None]) -> None:
-        self._enqueue(line, write_id, done, stall_started=None)
-
-    def _enqueue(
-        self, line: int, write_id: int, done: Callable[[], None],
-        stall_started: Optional[int],
-    ) -> None:
-        outcome = self.pb.enqueue(line, write_id, self.current_ts)
-        if outcome is EnqueueResult.FULL:
-            if stall_started is None and self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_BEGIN, "core", core=self.core,
-                    epoch=self.current_ts, reason=StallReason.PB_FULL,
-                )
-            started = stall_started if stall_started is not None else self.engine.now
-            self.pb.space_waiter.wait(
-                lambda: self._enqueue(line, write_id, done, started)
-            )
-            return
-        if outcome is EnqueueResult.ADDED:
-            # A coalesced store shares its entry's single ACK; counting it
-            # would leave the epoch incomplete forever.
-            self.et.on_enqueue(self.current_ts)
-        if stall_started is not None:
-            self.stats.inc(
-                "cyclesStalled", self.engine.now - stall_started, scope=self.scope
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_END, "core", core=self.core,
-                    epoch=self.current_ts, reason=StallReason.PB_FULL,
-                    dur=self.engine.now - stall_started,
-                )
-        done()
+    def _store_added(self, ts: int) -> None:
+        # A coalesced store shares its entry's single ACK; counting it
+        # would leave the epoch incomplete forever.
+        self.et.on_enqueue(ts)
 
     def on_ofence(self, done: Callable[[], None]) -> None:
         self.split_epoch()
         self._wait_et_space(done)
 
     def _wait_et_space(
-        self, done: Callable[[], None], _started: Optional[int] = None
+        self, done: Callable[[], None], started: Optional[int] = None
     ) -> None:
         if not self.et.over_capacity:
-            if _started is not None and self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_END, "core", core=self.core,
-                    epoch=self.current_ts, reason=StallReason.ET_FULL,
-                    dur=self.engine.now - _started,
-                )
+            if started is not None:
+                self._stall_end(StallReason.ET_FULL, self.current_ts, started)
             done()
-        else:
-            self.stats.inc("et_full_stalls", scope=self.scope)
-            if _started is None:
-                _started = self.engine.now
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        EventType.STALL_BEGIN, "core", core=self.core,
-                        epoch=self.current_ts, reason=StallReason.ET_FULL,
-                    )
-            self.et.space_waiter.wait(
-                lambda: self._wait_et_space(done, _started)
-            )
+            return
+        self.stats.inc("et_full_stalls", scope=self.scope)
+        if started is None:
+            started = self._stall_begin(StallReason.ET_FULL, self.current_ts)
+        self.et.space_waiter.wait(lambda: self._wait_et_space(done, started))
 
     def on_dfence(self, done: Callable[[], None]) -> None:
         closed_ts = self.et.close_current()
         started = self.engine.now
 
         def resume() -> None:
-            self.stats.inc(
-                "dfenceStalled", self.engine.now - started, scope=self.scope
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_END, "core", core=self.core,
-                    epoch=closed_ts, reason=StallReason.DFENCE,
-                    dur=self.engine.now - started,
-                )
+            self._stall_end(StallReason.DFENCE, closed_ts, started)
             done()
 
         if self.et.wait_for_commit(closed_ts, resume):
             done()
-        elif self.tracer is not None:
-            self.tracer.emit(
-                EventType.STALL_BEGIN, "core", core=self.core,
-                epoch=closed_ts, reason=StallReason.DFENCE,
-            )
+        else:
+            self._stall_begin(StallReason.DFENCE, closed_ts)
 
     def on_release_boundary(self, done: Callable[[], None]) -> None:
         # Buffered designs track the dependency instead of draining; the
@@ -546,9 +486,9 @@ class HOPSPath(BufferedPath):
 
     def __init__(
         self, engine, config, stats, core, transport: Transport,
-        global_ts: GlobalTSRegister,
+        global_ts: GlobalTSRegister, tracer: Optional[Tracer] = None,
     ) -> None:
-        super().__init__(engine, config, stats, core, transport)
+        super().__init__(engine, config, stats, core, transport, tracer)
         self.global_ts = global_ts
         self._polling = False
         self.pb.select_entry = make_conservative_policy(self.et.is_safe)
@@ -608,8 +548,11 @@ class ASAPPath(BufferedPath):
     predecessor, so its flushes are *safe* immediately and its commit
     chain runs independently of other strands'."""
 
-    def __init__(self, engine, config, stats, core, transport: Transport) -> None:
-        super().__init__(engine, config, stats, core, transport)
+    def __init__(
+        self, engine, config, stats, core, transport: Transport,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        super().__init__(engine, config, stats, core, transport, tracer)
         self.pb.select_entry = make_eager_policy(self.et.is_safe)
         self.pb.on_issue = self._on_issue
         self.pb.on_nacked = self._on_nacked
@@ -623,11 +566,8 @@ class ASAPPath(BufferedPath):
 
     def _on_issue(self, entry) -> None:
         if entry.issued_early:
-            mc = self._mc_of(entry.line)
+            mc = self.transport.mc_of(entry.line)
             self.et.on_write_issued(entry.epoch_ts, mc, early=True)
-
-    #: wired by the machine (address interleaving lives there).
-    _mc_of: Callable[[int], int] = staticmethod(lambda line: 0)
 
     def _on_nacked(self, entry) -> None:
         """Fall back to conservative flushing until this epoch commits
@@ -676,9 +616,10 @@ class VorpalPath(BufferedPath):
     controllers, not in the core."""
 
     def __init__(
-        self, engine, config, stats, core, transport: Transport, coordinator
+        self, engine, config, stats, core, transport: Transport, coordinator,
+        tracer: Optional[Tracer] = None,
     ) -> None:
-        super().__init__(engine, config, stats, core, transport)
+        super().__init__(engine, config, stats, core, transport, tracer)
         self.coordinator = coordinator
         self.pb.select_entry = select_fifo_any
         self.pb.classify_early = lambda ts: False
@@ -717,8 +658,11 @@ class ASAPNoUndoPath(ASAPPath):
     inconsistent state -- the property tests rely on this model to prove
     the consistency checker has teeth."""
 
-    def __init__(self, engine, config, stats, core, transport: Transport) -> None:
-        super().__init__(engine, config, stats, core, transport)
+    def __init__(
+        self, engine, config, stats, core, transport: Transport,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        super().__init__(engine, config, stats, core, transport, tracer)
         self.pb.classify_early = lambda ts: False
         self.et.commit_action = self.et.finalize_commit
 

@@ -28,6 +28,7 @@ import enum
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.events import EventType, StallReason
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine, Waiter
 from repro.sim.stats import StatsRegistry
 
@@ -98,6 +99,7 @@ class PersistBuffer:
         scope: str,
         core: int,
         inflight_max: int = 8,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.capacity = capacity
@@ -123,7 +125,7 @@ class PersistBuffer:
         #: lazily bound hot counter (see :meth:`enqueue`).
         self._inserted = None
         #: optional :class:`repro.obs.Tracer`; None = tracing off.
-        self.tracer = None
+        self.tracer = tracer
         self._occupancy = stats.weighted("pb_occupancy", capacity, scope=scope)
         #: conservative-fallback horizon: while set, the owning model's
         #: policy only issues safe flushes; cleared when the epoch commits.
@@ -328,8 +330,8 @@ class PersistBuffer:
         Cycles spent actively flushing (port busy with a selected entry)
         are not blocked; cycles where ordering rules leave waiting entries
         stranded are.  ``blocked`` is computed by the caller from a single
-        (pure) policy evaluation; callers skip the call when it would be a
-        no-op (not blocked, no open interval).
+        (pure) policy evaluation; the issue-path callers skip the call when
+        it would be a no-op (not blocked, no open interval).
         """
         now = self.engine.now
         if blocked and self._blocked_since is None:
@@ -359,18 +361,7 @@ class PersistBuffer:
 
     def finish(self, now: int) -> None:
         """Close out accounting at the end of a run."""
-        if self._blocked_since is not None:
-            self.stats.inc(
-                "cyclesBlocked", now - self._blocked_since, scope=self.scope
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    EventType.STALL_END, "pb", core=self.core,
-                    epoch=self._blocked_epoch, reason=StallReason.PB_BLOCKED,
-                    dur=now - self._blocked_since,
-                )
-                self._blocked_epoch = None
-            self._blocked_since = None
+        self._update_blocked(False)
         self._occupancy.finish(now)
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import EventType
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 
@@ -61,6 +62,8 @@ class RecoveryTable:
         capacity: int,
         stats: StatsRegistry,
         scope: str,
+        mc: Optional[int] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.capacity = capacity
@@ -73,9 +76,9 @@ class RecoveryTable:
         self._occupancy = stats.weighted("rt_occupancy", capacity, scope=scope)
         self.max_occupancy = 0
         #: optional :class:`repro.obs.Tracer` + owning MC index (for
-        #: controller-lane attribution); wired by the machine assembler.
-        self.tracer = None
-        self.mc: Optional[int] = None
+        #: controller-lane attribution).
+        self.tracer = tracer
+        self.mc = mc
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.core.crash import CrashState
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.obs.events import EventType
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.config import CACHE_LINE_BYTES, MachineConfig
 from repro.sim.stats import StatsRegistry
@@ -143,6 +144,7 @@ class MemoryController:
         index: int,
         recovery_table: Optional[RecoveryTableProtocol] = None,
         bloom_filter: Optional[object] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -155,11 +157,14 @@ class MemoryController:
         #: ordering queue until their vector-clock dependences are durable.
         self.vorpal = None
         #: optional :class:`repro.obs.Tracer`; None = tracing off.  The
-        #: machine assembler wires it here and into the WPQ / recovery
-        #: table (see :meth:`repro.core.machine.Machine._attach_tracer`).
-        self.tracer = None
+        #: controller hands it on to its WPQ; the recovery table arrives
+        #: built with its own.
+        self.tracer = tracer
         self.nvm = NVMDevice(engine, config.nvm, stats, self.scope)
-        self.wpq = WritePendingQueue(engine, config.wpq_entries, stats, self.scope)
+        self.wpq = WritePendingQueue(
+            engine, config.wpq_entries, stats, self.scope, mc=index,
+            tracer=tracer,
+        )
         #: newest durable (ADR-domain) write id per line.
         self.adr_value: Dict[int, int] = {}
         #: responses are delivered through this hook (wired by the machine).

@@ -18,6 +18,7 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.obs.events import EventType
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine, Waiter
 from repro.sim.stats import StatsRegistry
 
@@ -44,6 +45,8 @@ class WritePendingQueue:
         capacity: int,
         stats: StatsRegistry,
         scope: str,
+        mc: Optional[int] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.engine = engine
         self.capacity = capacity
@@ -52,10 +55,10 @@ class WritePendingQueue:
         #: deque: drain order pops the head, which list.pop(0) made O(n).
         self._entries: Deque[WPQEntry] = deque()
         self._by_line: Dict[int, WPQEntry] = {}
-        #: optional :class:`repro.obs.Tracer` + owning MC index, wired by
-        #: the machine assembler through the memory controller.
-        self.tracer = None
-        self.mc: Optional[int] = None
+        #: optional :class:`repro.obs.Tracer` + owning MC index (for
+        #: controller-lane attribution).
+        self.tracer = tracer
+        self.mc = mc
         self.space_waiter = Waiter(engine)
         self._occupancy = stats.weighted("wpq_occupancy", capacity, scope=scope)
 

@@ -18,11 +18,13 @@ Components emit typed :class:`~repro.obs.events.Event` objects through a
 - :class:`~repro.obs.sinks.StallProfiler` -- rolls stall cycles up per
   reason / per core / per epoch / per component.  Its per-reason totals
   are *conserved*: they sum exactly to the registry's ``cyclesStalled``,
-  ``dfenceStalled``, ``sfenceStalled`` and ``cyclesBlocked`` counters
-  (a hypothesis property test locks this down).
+  ``dfenceStalled``, ``sfenceStalled`` and ``cyclesBlocked`` counters,
+  because one call closes each stall and writes both the counter and
+  the ``STALL_END`` event (a hypothesis property test locks this down).
 
-**Zero-overhead-when-off contract**: a machine built without sinks has
-``tracer is None`` everywhere, every emission site is guarded by a
+**Zero-overhead-when-off contract**: the machine hands its tracer to
+each component at construction, so a machine built without sinks has
+``tracer is None`` everywhere; every emission site is guarded by a
 single ``is not None`` check, and tracing never touches the statistics
 registry or schedules engine events -- so a traced run produces
 byte-identical stats to an untraced one (see DESIGN.md).

@@ -89,11 +89,10 @@ class StallProfiler(EventSink):
     """Roll stall cycles up per reason / core / epoch / component.
 
     Attribution happens on ``STALL_END`` events, whose ``dur`` carries
-    the interval length in cycles.  Because components emit those events
-    at exactly the code sites that increment the registry's stall
-    counters (with the same amounts), the per-reason totals here are
-    conserved against the registry -- ``total(PB_FULL) ==
-    stats.total("cyclesStalled")`` and so on per
+    the interval length in cycles.  Because the call that emits such an
+    event also adds the same amount to the registry's stall counter, the
+    per-reason totals here are conserved against the registry --
+    ``total(PB_FULL) == stats.total("cyclesStalled")`` and so on per
     :data:`~repro.obs.events.REASON_COUNTERS`.  The property suite
     enforces this for every model.
     """
@@ -150,8 +149,8 @@ class StallProfiler(EventSink):
         return out
 
     def summary(self) -> Dict[str, object]:
-        """Plain-JSON (and picklable) rollup; what a traced
-        :class:`~repro.exp.spec.RunSpec` attaches to its result."""
+        """Plain-JSON (and picklable) rollup of the attribution; what
+        ``repro timeline`` prints as its stall breakdown."""
         return {
             "totals": {
                 reason.value: cycles

@@ -1,8 +1,9 @@
 """The Tracer: the one object components emit events through.
 
 A :class:`Tracer` binds the simulation engine (for timestamps) to a list
-of sinks.  Components hold an *optional* tracer -- ``None`` by default --
-and guard every emission with a single ``is not None`` check; that check
+of sinks.  Components take an *optional* tracer at construction --
+``None`` by default -- and guard every emission with a single
+``is not None`` check; that check
 is the entire cost of the observability layer when tracing is off (the
 zero-overhead-when-off contract, see DESIGN.md).
 

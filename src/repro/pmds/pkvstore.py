@@ -21,7 +21,7 @@ is multi-thread safe under release persistency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List
 
 from repro.core.api import Acquire, Load, OFence, Op, PMAllocator, Release, Store
 from repro.core.crash import CrashState

@@ -17,7 +17,7 @@ ablation producing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List
 
 from repro.core.api import OFence, Op, PMAllocator, Store
 from repro.core.crash import CrashState

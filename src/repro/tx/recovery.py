@@ -27,7 +27,7 @@ earlier one's -- which the checker reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.crash import CrashState
 from repro.tx.undolog import (

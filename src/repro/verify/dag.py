@@ -14,8 +14,8 @@ These utilities let the tests machine-check both claims on real runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.epoch import EpochId, EpochLog
 

@@ -23,8 +23,6 @@ Checked invariants:
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.machine import Machine
 
 

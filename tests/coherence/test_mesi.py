@@ -114,11 +114,6 @@ class TestDirectoryCompatibility:
         owner = mesi.owner_of(LINE)
         assert (owner.core, owner.epoch_ts) == (2, 9)
 
-    def test_conflicting_access(self, mesi):
-        mesi.write(2, LINE, epoch_ts=9)
-        assert mesi.conflicting_access(LINE, core=2) is None
-        assert mesi.conflicting_access(LINE, core=0).core == 2
-
     def test_update_writer_epoch(self, mesi):
         mesi.write(1, LINE, epoch_ts=4)
         mesi.update_writer_epoch(LINE, 1, 6)

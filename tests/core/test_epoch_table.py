@@ -201,8 +201,3 @@ class TestGlobalTSRegister:
         register.publish(0, 3)  # stale publish
         engine.run()
         assert register.committed_upto(0) == 9
-
-    def test_without_engine_is_immediate(self, stats):
-        register = GlobalTSRegister(stats)
-        register.publish(1, 4)
-        assert register.committed_upto(1) == 4

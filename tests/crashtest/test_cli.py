@@ -96,3 +96,34 @@ def test_sizes_below_one_exit_2_before_any_point(capsys, flag, value):
     captured = capsys.readouterr()
     assert flag in captured.err and "at least 1" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["queue"], "the workload"),
+    (["--all"], "--all"),
+    (["--models", "baseline"], "--models"),
+    (["--points", "3"], "--points"),
+    (["--jobs", "4"], "--jobs"),
+    (["--out", "{tmp}/replay.json"], "--out"),
+    (["--save-failures", "{tmp}/sf"], "--save-failures"),
+    (["--cache-dir", "{tmp}/cc"], "--cache-dir"),
+    (["--threads", "2"], "--threads"),
+    (["--mcs", "1"], "--mcs"),
+    (["--ops", "8"], "--ops"),
+    (["--seed", "3"], "--seed"),
+    (["--fabric"], "--fabric"),
+    (["--fabric", "--queue", "{tmp}/q"], "--queue"),
+    (["--fabric", "--stream", "{tmp}/s.jsonl"], "--stream"),
+    (["--fabric", "--chaos-kill", "2"], "--chaos-kill"),
+])
+def test_replay_rejects_every_sweep_argument(capsys, tmp_path, extra, named):
+    """``--replay`` reads only the saved state: any other argument exits 2
+    and is named, before the file is read (this one does not exist) and
+    before anything is written."""
+    argv = [arg.format(tmp=tmp_path) for arg in extra]
+    code = main(["crashtest", "--replay", str(tmp_path / "absent.pkl"),
+                 *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert named in captured.err and "--replay" in captured.err
+    assert list(tmp_path.iterdir()) == []

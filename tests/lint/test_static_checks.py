@@ -1,4 +1,5 @@
-"""Run ruff / mypy --strict over ``src/repro/lint`` when available.
+"""Run ruff over ``src/repro`` and mypy --strict over the typed packages
+when available.
 
 CI installs both tools and runs them as a dedicated job (see
 ``.github/workflows/ci.yml``); this test gives the same signal locally
@@ -23,11 +24,7 @@ def _have(module: str) -> bool:
 @pytest.mark.skipif(not _have("ruff"), reason="ruff not installed")
 def test_ruff_clean_on_typed_packages():
     proc = subprocess.run(
-        [sys.executable, "-m", "ruff", "check", "src/repro/lint",
-         "src/repro/workloads", "src/repro/sim", "src/repro/axiom",
-         "src/repro/litmus", "src/repro/report",
-         "src/repro/exp", "src/repro/fabric",
-         "src/repro/core", "src/repro/coherence", "src/repro/mem",
+        [sys.executable, "-m", "ruff", "check", "src/repro",
          "tests/lint", "tests/bench", "tests/axiom", "tests/litmus",
          "tests/report", "tests/exp", "tests/fabric"],
         cwd=REPO,

@@ -2,19 +2,24 @@
 
 The observability layer's core correctness claim is that it *attributes*
 the stall cycles the simulator already counts, without inventing or
-losing any.  Components emit ``STALL_END`` events at exactly the code
-sites that increment the registry's stall counters, with the same
-amounts, so for every model and any workload shape:
+losing any.  One call closes each stall interval and writes both the
+registry counter and the ``STALL_END`` event, with the same amount (a
+core stall in ``PersistencePath._stall_end``, a blocked persist buffer
+in ``PersistBuffer._update_blocked``), so for every model and any
+workload shape:
 
 - cycles attributed to ``PB_FULL``   == ``cyclesStalled``
 - cycles attributed to ``DFENCE``    == ``dfenceStalled``
 - cycles attributed to ``SFENCE``    == ``sfenceStalled``
 - cycles attributed to ``PB_BLOCKED``== ``cyclesBlocked``
 
-and the per-epoch breakdown sums back to those totals.  Hypothesis
-generates the workload shapes (store runs, fence placement, locked
-sections creating cross-thread dependencies) over a deliberately tiny
-machine (4-entry buffers) so back-pressure stalls actually occur.
+and the per-epoch breakdown sums back to those totals.  Every interval,
+``ET_FULL`` (which has no registry counter) included, is opened by one
+``STALL_BEGIN`` and closed by one ``STALL_END`` whose ``dur`` is the
+cycles between them.  Hypothesis generates the workload shapes (store
+runs, fence placement, locked sections creating cross-thread
+dependencies) over a deliberately tiny machine (4-entry buffers, a
+2-entry epoch table) so back-pressure stalls actually occur.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -30,14 +35,26 @@ from repro.core.api import (
     Store,
 )
 from repro.core.machine import Machine
-from repro.core.models import resolve_model
-from repro.obs import REASON_COUNTERS, StallProfiler
+from repro.core.models import MODEL_REGISTRY, resolve_model
+from repro.obs import (
+    REASON_COUNTERS,
+    EventType,
+    RingBufferSink,
+    StallProfiler,
+    StallReason,
+)
 from repro.sim.config import MachineConfig
 
-MODELS = ["baseline", "hops_rp", "asap_rp", "eadr"]
+MODELS = list(MODEL_REGISTRY)
 
-#: tiny buffers force PB-full / blocked / fence stalls to actually occur.
-TINY = dict(num_cores=2, pb_entries=4, wpq_entries=4)
+#: the designs with an epoch table (the only ones that can stall on it).
+EPOCH_TABLE_MODELS = [
+    name for name in MODELS if name not in ("baseline", "eadr")
+]
+
+#: tiny buffers force PB-full / blocked / fence / ET-full stalls to
+#: actually occur.
+TINY = dict(num_cores=2, pb_entries=4, wpq_entries=4, et_entries=2)
 
 LINE = 64
 
@@ -86,11 +103,11 @@ def build_program(shape, thread, lock_addr, shared_base, private_base):
     return program()
 
 
-def run_traced(model_name, shapes):
+def run_traced(model_name, shapes, *sinks):
     config = MachineConfig(**TINY)
     run_config = resolve_model(model_name).run_config(seed=7)
     profiler = StallProfiler()
-    machine = Machine(config, run_config, sinks=[profiler])
+    machine = Machine(config, run_config, sinks=[profiler, *sinks])
     lock_addr = 0x100000
     shared_base = 0x200000
     programs = [
@@ -135,8 +152,27 @@ def test_per_epoch_breakdown_sums_to_totals(model_name, shapes):
         assert cores_sum == profiler.total(reason)
 
 
+@pytest.mark.parametrize("model_name", MODELS)
+@settings(max_examples=15, deadline=None)
+@given(shapes=two_thread_shapes)
+def test_every_stall_begin_is_closed_by_one_matching_end(model_name, shapes):
+    capture = RingBufferSink()
+    run_traced(model_name, shapes, capture)
+    #: (component, core, reason) -> cycle its open interval began.
+    open_at = {}
+    for event in capture.events:
+        key = (event.comp, event.core, event.reason)
+        if event.type is EventType.STALL_BEGIN:
+            assert key not in open_at, f"{model_name}: {key} opened twice"
+            open_at[key] = event.cycle
+        elif event.type is EventType.STALL_END:
+            assert key in open_at, f"{model_name}: {key} closed unopened"
+            assert event.dur == event.cycle - open_at.pop(key)
+    assert not open_at, f"{model_name}: left open at the end: {open_at}"
+
+
 def test_stalls_actually_happen_under_the_tiny_config():
-    """Guard against the property passing vacuously (0 == 0)."""
+    """Guard against the properties passing vacuously (0 == 0)."""
     shapes = ([("stores", 6), ("dfence", 0), ("stores", 6), ("dfence", 0)],
               [("locked", 3), ("stores", 6), ("dfence", 0)])
     stalled_somewhere = 0
@@ -146,3 +182,11 @@ def test_stalls_actually_happen_under_the_tiny_config():
             profiler.total(reason) for reason in REASON_COUNTERS
         )
     assert stalled_somewhere > 0
+    fenced = ([("stores", 2), ("ofence", 0)] * 4,
+              [("stores", 2), ("ofence", 0)] * 4)
+    for model_name in EPOCH_TABLE_MODELS:
+        profiler, _stats = run_traced(model_name, fenced)
+        assert any(
+            reason is StallReason.ET_FULL
+            for (_core, reason) in profiler.by_core
+        ), f"{model_name}: no ET_FULL interval"
