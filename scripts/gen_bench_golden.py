@@ -23,7 +23,6 @@ Usage::
 
 from __future__ import annotations
 
-import io
 import json
 import pathlib
 import sys
@@ -57,31 +56,33 @@ FINGERPRINT_THREADS = 4
 SEED = 7
 
 
-def traced_cell(workload: str, model: str, threads: int, ops: int) -> tuple:
-    """Run one traced cell; return (stats text, JSONL text)."""
+def traced_cell(workload: str, model: str, threads: int, ops: int,
+                events_path: pathlib.Path) -> str:
+    """Run one traced cell; write its JSONL to ``events_path`` and return
+    its stats text."""
     spec = RunSpec(workload, model, ops_per_thread=ops,
                    num_threads=threads, seed=SEED,
                    machine=MachineConfig(num_cores=threads))
-    buffer = io.StringIO()
-    sink = JSONLSink(buffer)
+    sink = JSONLSink(events_path)
     result = run_workload(
         spec.build_workload(), spec.machine, spec.run_config(),
         num_threads=threads, sinks=[sink],
     )
     sink.close()
-    return format_stats(result.result), buffer.getvalue()
+    return format_stats(result.result)
 
 
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for workload, threads, ops in TRACED_CELLS:
         for model in RP_MODEL_NAMES:
-            stats_text, events_text = traced_cell(workload, model, threads, ops)
             stem = f"{workload}_{model}"
+            events_path = GOLDEN_DIR / f"{stem}.events.jsonl"
+            stats_text = traced_cell(workload, model, threads, ops,
+                                     events_path)
             (GOLDEN_DIR / f"{stem}.stats.txt").write_text(stats_text)
-            (GOLDEN_DIR / f"{stem}.events.jsonl").write_text(events_text)
             print(f"wrote {stem}.stats.txt / .events.jsonl "
-                  f"({len(events_text.splitlines())} events)")
+                  f"({len(events_path.read_text().splitlines())} events)")
 
     fingerprints = {}
     for workload in FINGERPRINT_WORKLOADS:

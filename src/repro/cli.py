@@ -226,7 +226,7 @@ def cmd_timeline(args) -> int:
         if jsonl is not None:
             jsonl.close()
     write_chrome_trace(ring.events, args.out)
-    print(f"wrote {args.out} ({ring.total_seen} events; open in Perfetto)")
+    print(f"wrote {args.out} ({len(ring)} events; open in Perfetto)")
     if jsonl is not None:
         print(f"wrote {args.events} ({jsonl.lines_written} JSONL events)")
     print()
@@ -310,9 +310,10 @@ def cmd_crashtest(args) -> int:
             return 2
         try:
             report = replay_failure(args.replay)
-        except ValueError as exc:
-            # e.g. a file that is not a saved crash state.
-            print(f"crashtest: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            # an unreadable path, or a file that is not a saved crash state.
+            print(f"crashtest: cannot replay {args.replay}: {exc}",
+                  file=sys.stderr)
             return 2
         verdict = "reproduced" if report["reproduced"] else "NOT reproduced"
         print(f"replay {args.replay}: {verdict}")

@@ -118,8 +118,8 @@ class Cache:
 class CacheHierarchy:
     """Private L1 + private L2 + shared LLC for one core.
 
-    ``access`` returns the access latency in cycles and drives fills and
-    evictions.  The shared LLC instance is passed in by the machine so all
+    ``access_ex`` returns the access latency in cycles (and the level that
+    serviced it) and drives fills and evictions.  The shared LLC instance is passed in by the machine so all
     cores see the same one.  ``memory_latency`` is a callback supplied by
     the machine that charges the NVM (or DRAM) read for a miss all the way
     down, and ``on_private_eviction`` lets the persist path interpose the
@@ -141,10 +141,6 @@ class CacheHierarchy:
         self._memory_latency = memory_latency
         self._on_private_eviction = on_private_eviction or (lambda line, dirty: None)
         self._on_llc_eviction = on_llc_eviction or (lambda line, dirty: None)
-
-    def access(self, line: int, is_write: bool) -> int:
-        """Perform one access; return its latency in cycles."""
-        return self.access_ex(line, is_write)[0]
 
     def access_ex(self, line: int, is_write: bool) -> Tuple[int, str]:
         """Perform one access; return ``(latency, level)`` where level is

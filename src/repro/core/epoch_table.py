@@ -73,9 +73,6 @@ class EpochTable:
     # epoch lifecycle
     # ------------------------------------------------------------------
 
-    def entry(self, ts: int) -> EpochEntry:
-        return self.entries[ts]
-
     @property
     def over_capacity(self) -> bool:
         return len(self.entries) > self.capacity
@@ -315,12 +312,6 @@ class GlobalTSRegister:
         self._pending: Dict[int, int] = {}
         self._busy_until = 0
 
-    def _serialize(self) -> int:
-        """Claim the next access slot; return the cycle it completes."""
-        start = max(self.engine.now, self._busy_until)
-        self._busy_until = start + self.access_cycles
-        return self._busy_until
-
     def publish(self, core: int, committed_upto: int) -> None:
         """Record a commit.  The value becomes visible to pollers after
         the register's access latency.  Writes use a dedicated per-core
@@ -350,7 +341,9 @@ class GlobalTSRegister:
 
     def read_done_at(self) -> int:
         """Reserve a serialized read slot; returns its completion cycle."""
-        return self._serialize()
+        start = max(self.engine.now, self._busy_until)
+        self._busy_until = start + self.access_cycles
+        return self._busy_until
 
 
 __all__ = ["EpochTable", "GlobalTSRegister"]

@@ -36,7 +36,7 @@ from repro.sim.config import (
     PersistencyModel,
     RunConfig,
 )
-from repro.sim.engine import Engine, ns_to_cycles
+from repro.sim.engine import CPU_FREQ_GHZ, Engine, ns_to_cycles
 from repro.sim.stats import StatsRegistry
 from repro.mem.controller import (
     CommitMessage,
@@ -226,7 +226,7 @@ class RunResult:
 
     @property
     def runtime_ns(self) -> float:
-        return self.runtime_cycles / 2.0  # 2 GHz
+        return self.runtime_cycles / CPU_FREQ_GHZ
 
     def table_vi(self) -> Dict[str, int]:
         return self.stats.table_vi()
@@ -266,8 +266,6 @@ class Machine:
         self._coherence_extra = ns_to_cycles(config.coherence_extra_ns)
         self._lock_cycles = ns_to_cycles(config.lock_access_ns)
         self._mem_read_cycles = ns_to_cycles(config.nvm.read_latency_ns)
-        self._inflight_flushes: Dict[int, object] = {}
-        self._next_flush_seq = 1
         #: indices of parked cores, in parking order -- resuming them in
         #: this order keeps a paused run deterministic.
         self._parked_order: List[int] = []
@@ -460,16 +458,13 @@ class Machine:
 
     def _make_flush_sender(self, core: int):
         def send(entry) -> None:
-            seq = self._next_flush_seq
-            self._next_flush_seq = seq + 1
-            self._inflight_flushes[seq] = (core, entry)
             packet = FlushPacket(
                 line=entry.line,
                 write_id=entry.write_id,
                 core=core,
                 epoch_ts=entry.epoch_ts,
                 early=entry.issued_early,
-                seq=seq,
+                entry=entry,
             )
             mc = self.mcs[self.amap.mc_of_line(entry.line)]
             # Table II: flush = 60 ns -- the PB -> MC transit of the packet.
@@ -480,8 +475,9 @@ class Machine:
         return send
 
     def _route_response(self, response: FlushResponse) -> None:
-        core, entry = self._inflight_flushes.pop(response.packet.seq)
-        pb = self.paths[core].pb
+        packet = response.packet
+        entry = packet.entry
+        pb = self.paths[packet.core].pb
 
         def deliver() -> None:
             if response.kind is ResponseKind.ACK:
@@ -881,7 +877,7 @@ class Machine:
         if self._halt_when_parked and all(
             c.parked or c.finished for c in self.cores
         ):
-            self.engine.stop("all cores parked")
+            self.engine.stop()
 
     def _resume_cores(self) -> None:
         order, self._parked_order = self._parked_order, []

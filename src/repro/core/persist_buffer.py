@@ -218,7 +218,7 @@ class PersistBuffer:
                 EventType.PB_ENQUEUE, "pb", core=self.core, epoch=epoch_ts,
                 line=line, value=len(self.entries),
             )
-        self._reassess()
+        self.reassess()
         return EnqueueResult.ADDED
 
     # ------------------------------------------------------------------
@@ -228,9 +228,6 @@ class PersistBuffer:
     def reassess(self) -> None:
         """Something changed (epoch became safe, mode switched, ...);
         re-evaluate blocking and try to issue."""
-        self._reassess()
-
-    def _reassess(self) -> None:
         # Evaluate the (pure) selection policy exactly once and share the
         # result between blocked-cycle accounting and the issue attempt;
         # the old code scanned the buffer twice per reassessment.  The
@@ -271,7 +268,7 @@ class PersistBuffer:
 
     def _port_free(self) -> None:
         self._port_busy = False
-        self._reassess()
+        self.reassess()
 
     # ------------------------------------------------------------------
     # responses
@@ -297,10 +294,12 @@ class PersistBuffer:
         self.space_waiter.wake()
         if not self.entries:
             self.drain_waiter.wake()
-        self._reassess()
+        self.reassess()
 
     def handle_nack(self, entry: PBEntry) -> None:
         """Recovery table full: hold the entry for a safe retry."""
+        if entry.state is not PBEntryState.INFLIGHT:
+            raise ValueError(f"NACK for an entry not in flight: {entry!r}")
         self._inflight -= 1
         entry.state = PBEntryState.NACK_WAIT
         self.stats.inc("pb_nacks", scope=self.scope)
@@ -310,7 +309,7 @@ class PersistBuffer:
                 epoch=entry.epoch_ts, line=entry.line,
             )
         self.on_nacked(entry)
-        self._reassess()
+        self.reassess()
 
     def _oldest_seq(self) -> int:
         # Entries are appended in increasing seq order and removals keep

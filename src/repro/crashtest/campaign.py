@@ -408,12 +408,17 @@ def replay_failure(path: str) -> dict:
 
     state, meta = load_state(path)
     spec_doc = meta.get("spec", {})
+    if not isinstance(spec_doc, dict):
+        raise ValueError("its meta's spec is not a JSON object")
     name = spec_doc.get("workload")
-    workload = get_workload(
-        name,
-        ops_per_thread=spec_doc.get("ops_per_thread"),
-        seed=spec_doc.get("seed", 7),
-    )
+    try:
+        workload = get_workload(
+            name,
+            ops_per_thread=spec_doc.get("ops_per_thread"),
+            seed=spec_doc.get("seed", 7),
+        )
+    except KeyError as exc:
+        raise ValueError(f"its meta names no known workload: {exc}") from exc
     generic, oracle = adjudicate(state, workload)
     return {
         "file": path,

@@ -175,7 +175,10 @@ def dumps_state(state: CrashState, meta: dict) -> str:
 
 
 def loads_state(text: str) -> Tuple[CrashState, dict]:
+    """Parse :func:`dumps_state` text; ``ValueError`` on anything else."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a {STATE_KIND} document (not a JSON object)")
     if doc.get("kind") != STATE_KIND:
         raise ValueError(
             f"not a {STATE_KIND} document (kind={doc.get('kind')!r})"
@@ -185,7 +188,19 @@ def loads_state(text: str) -> Tuple[CrashState, dict]:
             f"unsupported {STATE_KIND} schema {doc.get('schema')!r} "
             f"(supported: {STATE_SCHEMA_VERSION})"
         )
-    return state_from_dict(doc["state"]), doc.get("meta", {})
+    try:
+        state = state_from_dict(doc["state"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed {STATE_KIND} document: its state does not decode "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(
+            f"malformed {STATE_KIND} document: its meta is not a JSON object"
+        )
+    return state, meta
 
 
 def save_state(path: str, state: CrashState, meta: dict) -> None:

@@ -20,7 +20,7 @@ The checks, and the bug class each targets:
 - ``persist-race`` (PL004, error) -- Eraser-style lockset analysis:
   stores to the same cache line from two strands whose lock sets share
   no common lock (and no program-order happens-before).  Single-line
-  stores no wider than ``atomic_publish_bytes`` are treated as atomic
+  stores no wider than :data:`ATOMIC_PUBLISH_BYTES` are treated as atomic
   publishes (the standard lock-free PM idiom); a race needs at least one
   wider participant.
 - ``epoch-shape`` (PL005, note) -- anti-patterns over the epoch
@@ -49,6 +49,17 @@ from repro.lint.stream import AnnotatedOp, OpStream, store_lines
 from repro.verify.dag import build_dag
 
 Detector = Callable[[OpStream, LintConfig], Iterator[Finding]]
+
+#: single-line stores up to this size count as atomic publishes: a PL004
+#: race needs at least one participant *wider* than this.
+ATOMIC_PUBLISH_BYTES = 8
+#: distinct dirty lines in a single epoch before PL005 flags it.
+MAX_EPOCH_LINES = 24
+#: a line stored in this many *consecutive* epochs of one strand is
+#: flagged as a self-dependency chain (PL005).  5 clears legitimate short
+#: bursts -- e.g. a skip-list predecessor publishing one pointer per
+#: level for MAX_LEVEL=4 levels -- while still catching sustained chains.
+SELF_DEP_MIN_RUN = 5
 
 RULES: Dict[str, Rule] = {}
 DETECTORS: Dict[str, Detector] = {}
@@ -267,7 +278,7 @@ def detect_persist_race(
                 continue
             lines = store_lines(op)
             atomic = (
-                op.size <= config.atomic_publish_bytes and len(lines) == 1
+                op.size <= ATOMIC_PUBLISH_BYTES and len(lines) == 1
             )
             key = (thread_stream.thread, aop.locks_held, atomic)
             for line in lines:
@@ -369,7 +380,7 @@ def detect_epoch_shape(
     # (a) oversized epochs.
     for key in sorted(epoch_lines):
         lines = epoch_lines[key]
-        if len(lines) > config.max_epoch_lines:
+        if len(lines) > MAX_EPOCH_LINES:
             anchor = epoch_anchor[key]
             yield _finding(
                 _EPOCH_SHAPE,
@@ -377,7 +388,7 @@ def detect_epoch_shape(
                 anchor,
                 key[0],
                 f"epoch {key} dirties {len(lines)} cache lines "
-                f"(threshold {config.max_epoch_lines}): a single "
+                f"(threshold {MAX_EPOCH_LINES}): a single "
                 f"crash window loses all of them and the persist "
                 f"buffer cannot hold the epoch open",
                 line=min(lines),
@@ -398,7 +409,7 @@ def detect_epoch_shape(
                 length = run.get(line, 0) + 1 if chained else 1
                 new_run[line] = length
                 if (
-                    length == config.self_dep_min_run
+                    length == SELF_DEP_MIN_RUN
                     and line not in flagged
                 ):
                     flagged.add(line)

@@ -101,8 +101,8 @@ class LintConfig:
     """Tunable knobs for one lint run.
 
     The defaults define the CI gate: 4 threads, each workload's default
-    ops-per-thread, seed 7.  Thresholds are documented in
-    ``docs/lint.md``.
+    ops-per-thread, seed 7.  The detectors' thresholds are constants of
+    :mod:`repro.lint.detectors`, documented in ``docs/lint.md``.
     """
 
     threads: int = 4
@@ -112,17 +112,6 @@ class LintConfig:
     detectors: Optional[List[str]] = None
     #: ignore workload-declared suppressions (surface everything).
     no_suppress: bool = False
-    #: distinct dirty lines in a single epoch before PL005 flags it.
-    max_epoch_lines: int = 24
-    #: a line stored in this many *consecutive* epochs of one strand is
-    #: flagged as a self-dependency chain (PL005).  The default of 5
-    #: clears legitimate short bursts -- e.g. a skip-list predecessor
-    #: publishing one pointer per level for MAX_LEVEL=4 levels -- while
-    #: still catching sustained chains.
-    self_dep_min_run: int = 5
-    #: single-line stores up to this size count as atomic publishes: a
-    #: PL004 race needs at least one participant *wider* than this.
-    atomic_publish_bytes: int = 8
     #: safety valve for dry expansion of a misbehaving generator.
     max_ops_per_thread: int = 1_000_000
 

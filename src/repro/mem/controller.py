@@ -50,10 +50,12 @@ class ResponseKind(enum.Enum):
 class FlushPacket:
     """A cache-line flush travelling from a persist buffer to a controller.
 
-    Slotted plain class (not a dataclass): one is allocated per flush, on
-    the simulator's hottest path."""
+    ``entry`` is the issuing persist-buffer entry; the controller never
+    reads it, and the response carries it back to that buffer.  Slotted
+    plain class (not a dataclass): one is allocated per flush, on the
+    simulator's hottest path."""
 
-    __slots__ = ("line", "write_id", "core", "epoch_ts", "early", "seq")
+    __slots__ = ("line", "write_id", "core", "epoch_ts", "early", "entry")
 
     def __init__(
         self,
@@ -62,20 +64,20 @@ class FlushPacket:
         core: int,
         epoch_ts: int,
         early: bool,
-        seq: int = 0,
+        entry: object = None,
     ) -> None:
         self.line = line
         self.write_id = write_id
         self.core = core
         self.epoch_ts = epoch_ts
         self.early = early
-        self.seq = seq
+        self.entry = entry
 
     def __repr__(self) -> str:
         return (
             f"FlushPacket(line={self.line:#x}, write_id={self.write_id}, "
             f"core={self.core}, epoch_ts={self.epoch_ts}, "
-            f"early={self.early}, seq={self.seq})"
+            f"early={self.early})"
         )
 
 
@@ -390,7 +392,13 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def _pump_drain(self) -> None:
-        """Keep up to ``write_parallelism`` media writes in flight."""
+        """Keep up to ``write_parallelism`` media writes in flight.
+
+        This is the one place the device's write bandwidth binds: the NVM
+        device starts every write it is handed, so a full drain leaves
+        later writes waiting in the WPQ (and, once it fills, stalls
+        admission).
+        """
         while (
             self._drains_outstanding < self.config.nvm.write_parallelism
             and len(self.wpq) > 0

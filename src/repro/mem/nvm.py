@@ -17,8 +17,8 @@ cheap.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Engine, ns_to_cycles
 from repro.sim.config import NVMConfig
@@ -67,9 +67,10 @@ class NVMDevice:
     """One persistent-memory device (one per memory controller).
 
     ``media`` is the durable array: line address -> newest write id on the
-    media.  Writes are serviced by a small number of parallel banks
-    (``write_parallelism``); when all banks are busy, writes queue up, which
-    is how the device's limited write bandwidth emerges.
+    media.  The device starts every write it is given at once; the limited
+    write bandwidth is enforced by the controller's WPQ drain, which keeps
+    at most ``write_parallelism`` media writes in flight
+    (:meth:`repro.mem.controller.MemoryController._pump_drain`).
     """
 
     def __init__(
@@ -85,10 +86,6 @@ class NVMDevice:
         self.scope = scope
         self.media: Dict[int, int] = {}
         self.xpbuffer = XPBuffer(config.xpbuffer_lines)
-        self._busy_banks = 0
-        self._write_queue: Deque[
-            Tuple[int, int, Optional[Callable[[], None]]]
-        ] = deque()
         self._read_cycles = ns_to_cycles(config.read_latency_ns)
         self._write_cycles = ns_to_cycles(config.write_latency_ns)
         #: XPBuffer hits complete at a fraction of the media latency.
@@ -105,10 +102,6 @@ class NVMDevice:
     def peek(self, line: int) -> int:
         """Durable value (write id) currently on the media; 0 = pristine."""
         return self.media.get(line, 0)
-
-    def commit_write(self, line: int, write_id: int) -> None:
-        """Instantly place ``write_id`` on the media (crash-drain path)."""
-        self.media[line] = write_id
 
     # -- timing plane --------------------------------------------------------
 
@@ -151,15 +144,6 @@ class NVMDevice:
                 "pm_writes", scope=self.scope
             )
         counter.inc()
-        if self._busy_banks < self.config.write_parallelism:
-            self._start_write(line, write_id, on_done)
-        else:
-            self._write_queue.append((line, write_id, on_done))
-
-    def _start_write(
-        self, line: int, write_id: int, on_done: Optional[Callable[[], None]]
-    ) -> None:
-        self._busy_banks += 1
         if self.xpbuffer.access(line):
             latency = self._buffered_write_cycles
         else:
@@ -167,18 +151,10 @@ class NVMDevice:
 
         def finish() -> None:
             self.media[line] = write_id
-            self._busy_banks -= 1
             if on_done is not None:
                 on_done()
-            if self._write_queue:
-                next_line, next_id, next_done = self._write_queue.popleft()
-                self._start_write(next_line, next_id, next_done)
 
         self.engine.schedule(latency, finish)
-
-    @property
-    def writes_in_flight(self) -> int:
-        return self._busy_banks + len(self._write_queue)
 
 
 __all__ = ["NVMDevice", "XPBuffer", "XPLINE_BYTES"]

@@ -37,7 +37,8 @@ class WPQEntry:
 
 
 class WritePendingQueue:
-    """Bounded FIFO of durable pending writes, drained by the NVM device."""
+    """Bounded FIFO of durable pending writes, drained to the NVM device by
+    its controller."""
 
     def __init__(
         self,
@@ -110,16 +111,6 @@ class WritePendingQueue:
             )
         self.space_waiter.wake()
         return entry
-
-    def drain_all(self) -> list[WPQEntry]:
-        """Return and clear every pending entry, in FIFO order.
-
-        This is the ADR crash path: on power failure the platform drains
-        the WPQ to the media unconditionally.
-        """
-        entries, self._entries = self._entries, deque()
-        self._by_line.clear()
-        return list(entries)
 
     def snapshot(self) -> Dict[int, int]:
         """Line -> pending write id, newest wins (for inspection/tests)."""

@@ -13,8 +13,8 @@ Components emit typed :class:`~repro.obs.events.Event` objects through a
 
 - :class:`~repro.obs.sinks.JSONLSink` -- one JSON object per line, the
   stable on-disk schema (golden-tested);
-- :class:`~repro.obs.sinks.RingBufferSink` -- bounded (or unbounded)
-  in-memory capture for programmatic inspection and timeline export;
+- :class:`~repro.obs.sinks.RingBufferSink` -- in-memory capture of
+  every event, for programmatic inspection and timeline export;
 - :class:`~repro.obs.sinks.StallProfiler` -- rolls stall cycles up per
   reason / per core / per epoch / per component.  Its per-reason totals
   are *conserved*: they sum exactly to the registry's ``cyclesStalled``,

@@ -9,11 +9,8 @@ statistics) depends on it.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import pathlib
-from collections import deque
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import Event, EventType, StallReason
@@ -30,21 +27,14 @@ class EventSink:
 
 
 class RingBufferSink(EventSink):
-    """Keep the last ``capacity`` events in memory (all of them if None).
+    """Keep every event in memory, in emission order (the capture buffer
+    for timeline export)."""
 
-    The unbounded form doubles as the capture buffer for timeline export;
-    the bounded form is the "flight recorder" used when only the tail of
-    a long run matters.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-        self.total_seen = 0
+    def __init__(self) -> None:
+        self._events: List[Event] = []
 
     def handle(self, event: Event) -> None:
         self._events.append(event)
-        self.total_seen += 1
 
     @property
     def events(self) -> List[Event]:
@@ -55,22 +45,14 @@ class RingBufferSink(EventSink):
 
 
 class JSONLSink(EventSink):
-    """Write each event as one JSON object per line.
-
-    Accepts a path (opened and owned by the sink) or any text file
-    object (borrowed; not closed).  Keys are emitted sorted so the
-    output is byte-deterministic for a deterministic simulation.
+    """Write each event as one JSON object per line to the file at
+    ``path`` (opened here, closed by :meth:`close`).  Keys are emitted
+    sorted so the output is byte-deterministic for a deterministic
+    simulation.
     """
 
-    def __init__(self, target: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        if isinstance(target, (str, os.PathLike)):
-            self.path: Optional[pathlib.Path] = pathlib.Path(target)
-            self._fh = self.path.open("w", encoding="utf-8")
-            self._owns = True
-        else:
-            self.path = None
-            self._fh = target
-            self._owns = False
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
+        self._fh = open(path, "w", encoding="utf-8")
         self.lines_written = 0
 
     def handle(self, event: Event) -> None:
@@ -80,9 +62,7 @@ class JSONLSink(EventSink):
         self.lines_written += 1
 
     def close(self) -> None:
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
+        self._fh.close()
 
 
 class StallProfiler(EventSink):

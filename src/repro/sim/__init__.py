@@ -17,14 +17,13 @@ from repro.sim.config import (
     PersistencyModel,
     TABLE_II_CONFIG,
 )
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.stats import Counter, Histogram, StatsRegistry, TimeWeightedStat
 
 __all__ = [
     "CacheConfig",
     "Counter",
     "Engine",
-    "Event",
     "Histogram",
     "MachineConfig",
     "NVMConfig",

@@ -24,6 +24,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.sim.engine import CPU_FREQ_GHZ
+
 CACHE_LINE_BYTES = 64
 
 
@@ -90,10 +92,12 @@ class NVMConfig:
 
     read_latency_ns: float = 175.0
     write_latency_ns: float = 90.0
-    #: Number of writes a single device can service concurrently (banking
-    #: across the DIMMs behind one controller).  4 concurrent 90 ns line
-    #: writes = ~2.8 GB/s of write bandwidth per controller, in line with
-    #: the Optane characterizations the paper cites.
+    #: Number of media writes a single device services concurrently
+    #: (banking across the DIMMs behind one controller).  The controller's
+    #: WPQ drain enforces it by keeping at most this many writes in
+    #: flight.  4 concurrent 90 ns line writes = ~2.8 GB/s of write
+    #: bandwidth per controller, in line with the Optane
+    #: characterizations the paper cites.
     write_parallelism: int = 4
     xpbuffer_lines: int = 64
 
@@ -104,7 +108,10 @@ class MachineConfig:
 
     num_cores: int = 4
     num_mcs: int = 2
-    cpu_freq_ghz: float = 2.0
+    #: Fixed at :data:`repro.sim.engine.CPU_FREQ_GHZ`, the one rate every
+    #: cycle conversion uses; the field stays only because it is part of
+    #: every run's spec key and crash-point seed.
+    cpu_freq_ghz: float = CPU_FREQ_GHZ
 
     l1: CacheConfig = field(
         default_factory=lambda: CacheConfig(32 * 1024, 8, 1.0)
@@ -168,6 +175,11 @@ class MachineConfig:
     bloom_hashes: int = 2
 
     def __post_init__(self) -> None:
+        if self.cpu_freq_ghz != CPU_FREQ_GHZ:
+            raise ValueError(
+                f"cpu_freq_ghz must be {CPU_FREQ_GHZ} (the simulated clock "
+                f"is fixed), not {self.cpu_freq_ghz}"
+            )
         if self.num_cores < 1:
             raise ValueError("need at least one core")
         if self.num_mcs < 1:

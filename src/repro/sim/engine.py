@@ -13,14 +13,10 @@ The clock is an integer number of CPU cycles.  The reproduction models a
 expressed in nanoseconds.
 
 Performance note (the hot loop of the whole simulator): the heap holds
-plain ``(time, seq, Event)`` tuples rather than rich comparable objects.
-``seq`` is unique, so tuple comparison never reaches the :class:`Event`
-payload and orders entries entirely with C-level integer compares --
-replacing the former dataclass ``__lt__``, which dominated profiles.  The
-:class:`Event` handle (slotted, no dataclass machinery) survives only for
-the public API: callers may :meth:`Event.cancel` it, and the delivery
-order it encodes is identical to the old implementation by construction
-(same ``(time, seq)`` key, same FIFO tie-break).
+bare ``(time, seq, callback)`` tuples.  ``seq`` is unique, so tuple
+comparison never reaches the callback and orders entries entirely with
+C-level integer compares, and no per-event object is allocated.
+Scheduling returns nothing: once queued, a callback fires.
 """
 
 from __future__ import annotations
@@ -44,33 +40,8 @@ def ns_to_cycles(ns: float) -> int:
     return max(1, round(ns * CPU_FREQ_GHZ))
 
 
-class Event:
-    """A single scheduled callback.
-
-    Events are ordered by ``(time, seq)``; ``seq`` is a monotonically
-    increasing tie-breaker so that events scheduled for the same cycle run
-    in FIFO order.  Cancelled events stay in the heap but are skipped when
-    popped.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: int, seq: int, callback: Callable[[], None]) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when it is popped."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:
-        return f"Event(time={self.time}, seq={self.seq}, cancelled={self.cancelled})"
-
-
-#: one heap entry: ``(time, seq, event)``.
-_HeapEntry = Tuple[int, int, Event]
+#: one heap entry: ``(time, seq, callback)``.
+_HeapEntry = Tuple[int, int, Callable[[], None]]
 
 
 class Engine:
@@ -93,7 +64,6 @@ class Engine:
         self._seq: int = 0
         self._events_executed: int = 0
         self._stopped: bool = False
-        self._stop_reason: Optional[str] = None
 
     @property
     def now(self) -> int:
@@ -105,28 +75,20 @@ class Engine:
         """Number of events that have fired so far (for diagnostics)."""
         return self._events_executed
 
-    @property
-    def stop_reason(self) -> Optional[str]:
-        """Why :meth:`run` returned, if :meth:`stop` was called."""
-        return self._stop_reason
-
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
         A non-positive delay schedules the callback for the current cycle;
         it will still run strictly after the currently executing event.
-        Returns the :class:`Event`, which callers may :meth:`Event.cancel`.
         """
         time = self._now
         if delay > 0:
             time += int(delay)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback)
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
+        heapq.heappush(self._queue, (time, seq, callback))
 
-    def at(self, time: int, callback: Callable[[], None]) -> Event:
+    def at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at the absolute cycle ``time``."""
         time = int(time)
         if time < self._now:
@@ -135,14 +97,11 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, callback)
-        heapq.heappush(self._queue, (time, seq, event))
-        return event
+        heapq.heappush(self._queue, (time, seq, callback))
 
-    def stop(self, reason: str = "stopped") -> None:
+    def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
         self._stopped = True
-        self._stop_reason = reason
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or stop.
@@ -153,7 +112,6 @@ class Engine:
         against runaway simulations.  Returns the final simulated time.
         """
         self._stopped = False
-        self._stop_reason = None
         # Local aliases keep the per-event overhead to a handful of
         # LOAD_FASTs; this loop executes tens of millions of times.  The
         # run-to-completion case (until=None) gets its own loop without
@@ -167,12 +125,10 @@ class Engine:
                 while queue:
                     if self._stopped:
                         break
-                    time, _seq, event = heappop(queue)
-                    if event.cancelled:
-                        continue
+                    time, _seq, callback = heappop(queue)
                     self._now = time
                     executed += 1
-                    event.callback()
+                    callback()
                     if bounded and executed >= max_events:  # type: ignore[operator]
                         raise RuntimeError(
                             f"simulation exceeded max_events={max_events} "
@@ -186,12 +142,10 @@ class Engine:
                     if time > until:
                         self._now = until
                         return until
-                    event = heappop(queue)[2]
-                    if event.cancelled:
-                        continue
+                    callback = heappop(queue)[2]
                     self._now = time
                     executed += 1
-                    event.callback()
+                    callback()
                     if bounded and executed >= max_events:  # type: ignore[operator]
                         raise RuntimeError(
                             f"simulation exceeded max_events={max_events} "
@@ -204,8 +158,8 @@ class Engine:
         return self._now
 
     def pending(self) -> int:
-        """Number of (non-cancelled) events still queued."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        """Number of events still queued."""
+        return len(self._queue)
 
 
 class Waiter:
@@ -241,4 +195,4 @@ class Waiter:
         return len(self._waiters)
 
 
-__all__ = ["CPU_FREQ_GHZ", "Engine", "Event", "Waiter", "ns_to_cycles"]
+__all__ = ["CPU_FREQ_GHZ", "Engine", "Waiter", "ns_to_cycles"]

@@ -65,11 +65,11 @@ class BuggyDemo(Workload):
     category = "fixture"
     default_ops = 1
 
-    #: lines in the deliberately oversized epoch (> LintConfig default
-    #: ``max_epoch_lines`` of 24).
+    #: lines in the deliberately oversized epoch (> the lint threshold
+    #: ``repro.lint.detectors.MAX_EPOCH_LINES`` of 24).
     OVERSIZED_LINES = 30
-    #: consecutive epochs re-dirtying the hot line (>= LintConfig
-    #: default ``self_dep_min_run`` of 5).
+    #: consecutive epochs re-dirtying the hot line (>= the lint threshold
+    #: ``repro.lint.detectors.SELF_DEP_MIN_RUN`` of 5).
     HOT_EPOCHS = 6
 
     def programs(self, heap: PMAllocator, num_threads: int) -> List[Program]:

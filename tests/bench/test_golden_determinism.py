@@ -11,7 +11,6 @@ the PR.
 
 from __future__ import annotations
 
-import io
 import json
 import pathlib
 
@@ -39,30 +38,33 @@ FINGERPRINT_THREADS = 4
 SEED = 7
 
 
-def _traced_cell(workload: str, model: str, threads: int, ops: int):
+def _traced_cell(workload: str, model: str, threads: int, ops: int,
+                 events_path: pathlib.Path):
     spec = RunSpec(workload, model, ops_per_thread=ops,
                    num_threads=threads, seed=SEED,
                    machine=MachineConfig(num_cores=threads))
-    buffer = io.StringIO()
-    sink = JSONLSink(buffer)
+    sink = JSONLSink(events_path)
     result = run_workload(
         spec.build_workload(), spec.machine, spec.run_config(),
         num_threads=threads, sinks=[sink],
     )
     sink.close()
-    return format_stats(result.result), buffer.getvalue()
+    return format_stats(result.result), events_path.read_text()
 
 
 @pytest.mark.parametrize("workload,threads,ops", TRACED_CELLS)
 @pytest.mark.parametrize("model", RP_MODEL_NAMES)
-def test_stats_and_trace_byte_identical(workload, threads, ops, model):
+def test_stats_and_trace_byte_identical(workload, threads, ops, model,
+                                        tmp_path):
     stats_path = GOLDEN_DIR / f"{workload}_{model}.stats.txt"
     events_path = GOLDEN_DIR / f"{workload}_{model}.events.jsonl"
     assert stats_path.exists(), (
         f"golden missing: {stats_path} "
         "(run scripts/gen_bench_golden.py and commit the corpus)"
     )
-    stats_text, events_text = _traced_cell(workload, model, threads, ops)
+    stats_text, events_text = _traced_cell(
+        workload, model, threads, ops, tmp_path / "events.jsonl"
+    )
     assert stats_text == stats_path.read_text(), (
         f"{workload}/{model}: stats.txt drifted from the golden -- either "
         "a perf change altered semantics (a bug) or an intentional change "

@@ -89,26 +89,26 @@ class TestHierarchy:
         )
 
     def test_l1_hit_after_fill(self, hierarchy):
-        hierarchy.access(0, is_write=False)
+        hierarchy.access_ex(0, is_write=False)
         latency, level = hierarchy.access_ex(0, is_write=False)
         assert level == "l1"
         assert latency == ns_to_cycles(1.0)
 
     def test_invalidate_forces_reload(self, hierarchy):
-        hierarchy.access(0, is_write=False)
+        hierarchy.access_ex(0, is_write=False)
         hierarchy.invalidate(0)
         _, level = hierarchy.access_ex(0, is_write=False)
         assert level in ("llc", "mem")  # still in the shared LLC
 
     def test_llc_hit_path(self, hierarchy):
-        hierarchy.access(0, is_write=False)
+        hierarchy.access_ex(0, is_write=False)
         hierarchy.invalidate(0)
         latency, level = hierarchy.access_ex(0, is_write=False)
         assert level == "llc"
         assert latency == ns_to_cycles(1.0) + ns_to_cycles(10.0) + ns_to_cycles(30.0)
 
     def test_write_marks_dirty_in_l1(self, hierarchy):
-        hierarchy.access(0, is_write=True)
+        hierarchy.access_ex(0, is_write=True)
         _, level = hierarchy.access_ex(0, is_write=False)
         assert level == "l1"
 
@@ -124,7 +124,7 @@ class TestHierarchy:
         )
         # Touch many same-set lines to force L2 evictions.
         for i in range(8):
-            hierarchy.access(i * 256, is_write=True)
+            hierarchy.access_ex(i * 256, is_write=True)
         assert evicted  # someone fell out of the private levels
 
     def test_llc_eviction_callback(self, stats):
@@ -138,5 +138,5 @@ class TestHierarchy:
             on_llc_eviction=lambda line, dirty: dropped.append(line),
         )
         for i in range(12):
-            hierarchy.access(i * 256, is_write=False)
+            hierarchy.access_ex(i * 256, is_write=False)
         assert dropped

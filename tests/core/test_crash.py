@@ -1,18 +1,14 @@
 """Unit/integration tests for crash injection and reconstruction."""
 
-import pytest
-
-from repro.core.api import Compute, DFence, OFence, PMAllocator, Store
-from repro.core.crash import CrashState, crash_machine, run_and_crash
-from repro.core.machine import Machine
+from repro.core.api import DFence, OFence, PMAllocator, Store
+from repro.core.crash import crash_machine, run_and_crash
 from repro.sim.config import (
     HardwareModel,
     MachineConfig,
-    PersistencyModel,
     RunConfig,
 )
 
-from tests.conftest import make_machine, simple_writer
+from tests.conftest import make_machine
 
 
 def ordered_program(buf, n=6):

@@ -12,13 +12,7 @@ from repro.core.api import (
     Release,
     Store,
 )
-from repro.core.machine import Machine
-from repro.sim.config import (
-    HardwareModel,
-    MachineConfig,
-    PersistencyModel,
-    RunConfig,
-)
+from repro.sim.config import HardwareModel, PersistencyModel
 
 from tests.conftest import locked_pair, make_machine, simple_writer
 
@@ -220,7 +214,7 @@ class TestDrainGuarantees:
         for hw in HardwareModel:
             machine = make_machine(hw, num_cores=2)
             heap = PMAllocator()
-            result = machine.run(locked_pair(heap, iters=4))
+            machine.run(locked_pair(heap, iters=4))
             for path in machine.paths:
                 assert path.is_drained(), hw
 

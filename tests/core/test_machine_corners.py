@@ -1,16 +1,12 @@
 """Corner-case coverage for the machine: evictions, WBB, bloom filter,
 ET overflow, back-pressure chains, multi-MC routing."""
 
-import pytest
-
 from repro.core.api import (
-    Acquire,
     Compute,
     DFence,
     Load,
     OFence,
     PMAllocator,
-    Release,
     Store,
 )
 from repro.core.machine import Machine

@@ -1,11 +1,7 @@
 """Model-specific behaviour tests (early flushes, NACK fallback, polling)."""
 
-import pytest
-
 from repro.core.api import (
-    Compute,
     DFence,
-    Load,
     OFence,
     PMAllocator,
     Store,
@@ -18,7 +14,7 @@ from repro.sim.config import (
     RunConfig,
 )
 
-from tests.conftest import locked_pair, make_machine, simple_writer
+from tests.conftest import locked_pair, make_machine
 
 
 def burst_writer(heap, epochs=12, lines_per_epoch=2):
@@ -88,7 +84,7 @@ class TestNACKFallback:
     def test_nacked_run_still_completes_and_drains(self):
         machine = self._tiny_rt_machine()
         heap = PMAllocator()
-        result = machine.run([burst_writer(heap, epochs=20, lines_per_epoch=3)])
+        machine.run([burst_writer(heap, epochs=20, lines_per_epoch=3)])
         for rt in machine.recovery_tables:
             assert len(rt) == 0
         assert machine.paths[0].is_drained()

@@ -128,6 +128,17 @@ class TestIssue:
         assert len(pb) == 1
         assert stats.get("pb_nacks", scope="core0") == 1
 
+    @pytest.mark.parametrize("respond", ["handle_ack", "handle_nack"])
+    def test_repeated_response_raises(self, engine, pb, respond):
+        """A response finds its entry through the flush packet, so a
+        second response for the same flush must fail loudly."""
+        pb.enqueue(0, 1, 1)
+        engine.run()
+        entry = pb.sent[0]
+        getattr(pb, respond)(entry)
+        with pytest.raises(ValueError):
+            getattr(pb, respond)(entry)
+
 
 class TestPolicies:
     def test_fifo_any_skips_inflight(self, engine, pb):

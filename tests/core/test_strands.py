@@ -6,10 +6,7 @@ their commits proceed independently), except that conflicting accesses
 still order across strands (strong persist atomicity).
 """
 
-import pytest
-
 from repro.core.api import (
-    Compute,
     DFence,
     NewStrand,
     OFence,
@@ -21,7 +18,6 @@ from repro.core.epoch_table import EpochTable
 from repro.sim.config import (
     HardwareModel,
     MachineConfig,
-    PersistencyModel,
     RunConfig,
 )
 from repro.verify import check_consistency

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.core.api import (
-    Acquire,
-    Compute,
-    DFence,
-    Load,
-    OFence,
-    PMAllocator,
-    Release,
-    Store,
-)
+from repro.core.api import PMAllocator
 from repro.core.crash import run_and_crash
 from repro.core.machine import Machine
 from repro.core.vorpal import VorpalCoordinator

@@ -10,6 +10,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.api import PMAllocator
+from repro.core.crash import run_and_crash
+from repro.core.models import resolve_model
+from repro.crashtest.serialize import dumps_state
+from repro.sim.config import MachineConfig
+from repro.workloads import get_workload
 
 
 def _run(capsys, *argv):
@@ -127,3 +133,41 @@ def test_replay_rejects_every_sweep_argument(capsys, tmp_path, extra, named):
     assert code == 2
     assert named in captured.err and "--replay" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def _saved_state(meta):
+    """A well-formed crash state document carrying ``meta``."""
+    machine = MachineConfig(num_cores=1)
+    programs = get_workload("queue", ops_per_thread=2).programs(
+        PMAllocator(), machine.num_cores)
+    state = run_and_crash(
+        machine, resolve_model("asap").run_config(seed=7), programs, 50)
+    return dumps_state(state, meta)
+
+
+@pytest.mark.parametrize("name, content", [
+    ("absent.json", None),
+    ("a_directory", "dir"),
+    ("list.json", lambda: "[]"),
+    ("no_state.json", lambda: '{"kind": "repro-crashstate", "schema": 1}'),
+    ("list_meta.json", lambda: _saved_state([])),
+    ("list_spec.json", lambda: _saved_state({"spec": []})),
+    ("unknown_workload.json",
+     lambda: _saved_state({"spec": {"workload": "nope"}})),
+])
+def test_replay_of_unreadable_or_malformed_file_exits_2(
+    capsys, tmp_path, name, content
+):
+    """Exit 1 means "NOT reproduced"; a file that cannot be replayed at
+    all is a usage error: exit 2 and one line naming the file."""
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content())
+    code = main(["crashtest", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    (line,) = captured.err.splitlines()
+    assert line.startswith("crashtest:") and str(path) in line
+    assert captured.out == ""

@@ -112,7 +112,11 @@ def test_cache_dir_is_a_shared_store_across_schedulers(tmp_path):
 
 def test_chaos_kill_converges_byte_identical(tmp_path):
     """The fabric-gate property: SIGKILL mid-campaign loses nothing."""
-    specs = _specs(8)
+    # Cells long enough (~60 ms) that the kill, fired at the first pump
+    # poll (20 ms) that sees two results, finds its victim mid-task with
+    # work pending, which is when a respawn is due.  20-op cells (~6 ms)
+    # let the whole campaign finish within two polls.
+    specs = _specs(8, ops=200)
     serial = [execute_spec(spec) for spec in specs]
     stream = tmp_path / "results.jsonl"
     with FabricScheduler(

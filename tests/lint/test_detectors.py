@@ -25,6 +25,7 @@ from repro.lint import (
     lint_trace,
     lint_workload,
 )
+from repro.lint.detectors import SELF_DEP_MIN_RUN
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +150,11 @@ class TestEpochShape:
         assert not _hits(report, "epoch-shape")
 
     def test_short_run_below_threshold_is_clean(self):
-        config = LintConfig()
         ops = []
-        for _ in range(config.self_dep_min_run - 1):
+        for _ in range(SELF_DEP_MIN_RUN - 1):
             ops += [Store(0x40, 8), OFence()]
         ops += [DFence()]
-        report = lint_trace("t", [ops], config)
+        report = lint_trace("t", [ops])
         assert not _hits(report, "epoch-shape")
 
 

@@ -26,7 +26,9 @@ def test_ruff_clean_on_typed_packages():
     proc = subprocess.run(
         [sys.executable, "-m", "ruff", "check", "src/repro",
          "tests/lint", "tests/bench", "tests/axiom", "tests/litmus",
-         "tests/report", "tests/exp", "tests/fabric"],
+         "tests/report", "tests/exp", "tests/fabric",
+         "tests/sim", "tests/mem", "tests/coherence", "tests/core",
+         "tests/obs", "tests/crashtest"],
         cwd=REPO,
         capture_output=True,
         text=True,

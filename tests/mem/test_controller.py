@@ -11,11 +11,11 @@ Early flush arrives    Create undo record,           Create delay record
 
 import pytest
 
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, NVMConfig
+from repro.sim.engine import ns_to_cycles
 from repro.mem.controller import (
     CommitMessage,
     FlushPacket,
-    FlushResponse,
     MemoryController,
     ResponseKind,
 )
@@ -43,9 +43,9 @@ def plain_mc(engine, stats):
     return controller
 
 
-def flush(line, write_id, early, core=0, ts=1, seq=0):
+def flush(line, write_id, early, core=0, ts=1):
     return FlushPacket(
-        line=line, write_id=write_id, core=core, epoch_ts=ts, early=early, seq=seq
+        line=line, write_id=write_id, core=core, epoch_ts=ts, early=early
     )
 
 
@@ -209,3 +209,41 @@ class TestCrashDrain:
         # Run only far enough for admission, not media drain.
         engine.run(until=engine.now + 10)
         assert plain_mc.crash_drain()[0] == 7
+
+
+class TestWriteBandwidth:
+    """``write_parallelism`` binds at the WPQ drain: the controller keeps
+    at most that many media writes in flight."""
+
+    MEDIA_WRITE = ns_to_cycles(NVMConfig().write_latency_ns)
+
+    @staticmethod
+    def landing_cycles(engine, stats, write_parallelism):
+        """Cycle at which each of three safe flushes reaches the media."""
+        config = MachineConfig(
+            num_cores=2,
+            nvm=NVMConfig(write_parallelism=write_parallelism,
+                          xpbuffer_lines=1),
+        )
+        controller = MemoryController(engine, config, stats, index=0)
+        # Distinct 4 KB blocks, so no media write hits the XPBuffer.
+        lines = [i * 4096 for i in range(3)]
+        for write_id, line in enumerate(lines, start=1):
+            controller.receive_flush(flush(line, write_id, early=False))
+        landed = {}
+        while len(landed) < len(lines):
+            assert engine.pending(), "a flush never reached the media"
+            engine.run(until=engine.now + 1)
+            for write_id, line in enumerate(lines, start=1):
+                if line not in landed and controller.nvm.peek(line) == write_id:
+                    landed[line] = engine.now
+        return [landed[line] for line in lines]
+
+    def test_one_write_in_flight_serializes_the_media(self, engine, stats):
+        landed = self.landing_cycles(engine, stats, write_parallelism=1)
+        assert landed[1] - landed[0] >= self.MEDIA_WRITE
+        assert landed[2] - landed[1] >= self.MEDIA_WRITE
+
+    def test_parallel_media_writes_overlap(self, engine, stats):
+        landed = self.landing_cycles(engine, stats, write_parallelism=4)
+        assert max(landed) - min(landed) < self.MEDIA_WRITE

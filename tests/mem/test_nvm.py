@@ -57,10 +57,6 @@ class TestValuePlane:
         engine.run()
         assert device.peek(0x1000) == 7
 
-    def test_commit_write_is_instant(self, device):
-        device.commit_write(0x40, 3)
-        assert device.peek(0x40) == 3
-
 
 class TestTiming:
     def test_cold_read_costs_media_latency(self, device):
@@ -77,20 +73,6 @@ class TestTiming:
         engine.run()
         assert len(done) == 1
         assert done[0] >= ns_to_cycles(90.0) // 4  # at least buffered latency
-
-    def test_bank_parallelism_limits_throughput(self, engine, stats):
-        config = NVMConfig(write_parallelism=1, xpbuffer_lines=1)
-        device = NVMDevice(engine, config, stats, scope="mc0")
-        finish_times = []
-        # Writes to distinct blocks so the XPBuffer cannot help.
-        for i in range(3):
-            device.write(i * 4096, i + 1, lambda: finish_times.append(engine.now))
-        engine.run()
-        assert len(finish_times) == 3
-        # With one bank, writes serialize at media latency each.
-        full = ns_to_cycles(90.0)
-        assert finish_times[1] - finish_times[0] >= full // 4
-        assert finish_times[2] >= 2 * full // 4
 
     def test_parallel_banks_overlap(self, engine, stats):
         config = NVMConfig(write_parallelism=4, xpbuffer_lines=1)
@@ -110,10 +92,3 @@ class TestTiming:
         assert stats.get("pm_writes", scope="mc0") == 1
         assert stats.get("pm_reads", scope="mc0") == 1
         assert stats.get("xpbuffer_read_hits", scope="mc0") == 1
-
-    def test_writes_in_flight(self, engine, device):
-        device.write(0, 1)
-        device.write(4096, 2)
-        assert device.writes_in_flight == 2
-        engine.run()
-        assert device.writes_in_flight == 0

@@ -68,13 +68,6 @@ class TestCoalescing:
 
 
 class TestCrashDrain:
-    def test_drain_all_returns_fifo_and_clears(self, wpq):
-        wpq.push(0, 1)
-        wpq.push(64, 2)
-        entries = wpq.drain_all()
-        assert [e.write_id for e in entries] == [1, 2]
-        assert len(wpq) == 0
-
     def test_snapshot(self, wpq):
         wpq.push(0, 1)
         wpq.push(64, 2)

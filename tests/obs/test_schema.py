@@ -6,7 +6,6 @@ keys for JSONL, and the required ``ph``/``ts``/``pid``/``tid`` fields
 with monotonic timestamps for the Chrome Trace Event Format.
 """
 
-import io
 import json
 
 import pytest
@@ -28,11 +27,11 @@ CHROME_PHASES = {"M", "X", "C", "i"}
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def traced_run(tmp_path_factory):
     """One small traced ASAP run shared by every golden check."""
     ring = RingBufferSink()
-    buf = io.StringIO()
-    jsonl = JSONLSink(buf)
+    path = tmp_path_factory.mktemp("schema") / "events.jsonl"
+    jsonl = JSONLSink(path)
     run_workload(
         get_workload("queue", ops_per_thread=40, seed=7),
         MachineConfig(num_cores=2, pb_entries=4, wpq_entries=4),
@@ -41,7 +40,7 @@ def traced_run():
         sinks=[ring, jsonl],
     )
     jsonl.close()
-    return ring, buf.getvalue()
+    return ring, path.read_text()
 
 
 class TestJSONLSchema:

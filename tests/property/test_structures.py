@@ -70,7 +70,8 @@ class TestWPQProperties:
             wpq.push(line, write_id)
             expected[line] = write_id
         media = {}
-        for entry in wpq.drain_all():
+        while len(wpq):
+            entry = wpq.pop_head()
             media[entry.line] = entry.write_id
         assert media == expected
 

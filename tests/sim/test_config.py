@@ -6,11 +6,11 @@ from repro.sim.config import (
     CacheConfig,
     HardwareModel,
     MachineConfig,
-    NVMConfig,
     PersistencyModel,
     RunConfig,
     TABLE_II_CONFIG,
 )
+from repro.sim.engine import CPU_FREQ_GHZ
 
 
 class TestTableIIDefaults:
@@ -71,6 +71,14 @@ class TestValidation:
     def test_zero_pb_rejected(self):
         with pytest.raises(ValueError):
             MachineConfig(pb_entries=0)
+
+    def test_clock_rate_other_than_the_engines_rejected(self):
+        """Every cycle conversion uses the engine's one clock rate, so any
+        other value would only change the run's spec key and crash-point
+        seeds, not its timing."""
+        assert MachineConfig().cpu_freq_ghz == CPU_FREQ_GHZ
+        with pytest.raises(ValueError, match="cpu_freq_ghz"):
+            MachineConfig(cpu_freq_ghz=3.0)
 
 
 class TestDerivedConfigs:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import CPU_FREQ_GHZ, Engine, Waiter, ns_to_cycles
+from repro.sim.engine import CPU_FREQ_GHZ, Waiter, ns_to_cycles
 
 
 class TestScheduling:
@@ -53,13 +53,6 @@ class TestScheduling:
         engine.run()
         assert fired == [("outer", 3), ("inner", 10)]
 
-    def test_cancelled_event_is_skipped(self, engine):
-        fired = []
-        event = engine.schedule(5, lambda: fired.append("x"))
-        event.cancel()
-        engine.run()
-        assert fired == []
-
     def test_events_executed_counter(self, engine):
         for _ in range(5):
             engine.schedule(1, lambda: None)
@@ -98,11 +91,11 @@ class TestRunBounds:
 
     def test_stop_terminates_run(self, engine):
         fired = []
-        engine.schedule(1, lambda: (fired.append(1), engine.stop("test")))
+        engine.schedule(1, lambda: (fired.append(1), engine.stop()))
         engine.schedule(2, lambda: fired.append(2))
         engine.run()
         assert fired == [1]
-        assert engine.stop_reason == "test"
+        assert engine.pending() == 1
 
 
 class TestWaiter:

@@ -5,7 +5,6 @@ import pytest
 from repro.sim.stats import (
     Counter,
     Histogram,
-    StatsRegistry,
     TABLE_VI_COUNTERS,
     TimeWeightedStat,
 )
