@@ -15,11 +15,9 @@ from repro.analysis.report import render_table
 from repro.core.models import ModelSpec
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 from repro.workloads.dash import DashEH
-from repro.workloads.whisper import Echo
 
 from benchmarks.conftest import bench_grid
 
-from dataclasses import replace
 
 RP = PersistencyModel.RELEASE
 OPS = 120

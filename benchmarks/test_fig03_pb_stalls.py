@@ -11,7 +11,7 @@ from repro.analysis.report import render_table
 from repro.sim.config import MachineConfig
 from repro.workloads import SUITE
 
-from benchmarks.conftest import FIGURE_OPS, bench_grid, geomean
+from benchmarks.conftest import FIGURE_OPS, bench_grid
 
 CONCURRENT_DS = {"cceh", "dash_lh", "dash_eh", "p_art", "p_clht", "p_masstree"}
 

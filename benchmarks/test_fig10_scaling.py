@@ -10,7 +10,7 @@ P-ART scales best and Skiplist worst; HOPS flattens as dependence
 resolution and the global TS register saturate.
 """
 
-from repro.analysis.report import render_series, render_table
+from repro.analysis.report import render_table
 from repro.sim.config import MachineConfig
 from repro.workloads import SUITE
 

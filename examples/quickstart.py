@@ -50,7 +50,7 @@ def main() -> None:
     machine = Machine(config, run_config)
     result = machine.run([transactional_program(heap)])
 
-    print(f"model:    ASAP (release persistency)")
+    print("model:    ASAP (release persistency)")
     print(f"runtime:  {result.runtime_cycles} cycles "
           f"({result.runtime_ns:.0f} ns at 2 GHz)")
     print(f"drained:  {result.drain_cycles} cycles")

@@ -38,6 +38,7 @@ class EpochTable:
         scope: str,
         core: int,
         tracer: Optional[Tracer] = None,
+        journal: Optional[list] = None,
     ) -> None:
         self.engine = engine
         self.capacity = capacity
@@ -55,6 +56,9 @@ class EpochTable:
         self.entries[1] = EpochEntry(ts=1, prev=None, strand=0)
         #: optional :class:`repro.obs.Tracer`; None = tracing off.
         self.tracer = tracer
+        #: crash journal (:func:`repro.core.crash.record_run`) or None;
+        #: every commit appends ``(cycle, "commit")``.
+        self.journal = journal
         self.space_waiter = Waiter(engine)
         self._commit_waiters: List[Tuple[int, Callable[[], None]]] = []
 
@@ -229,6 +233,8 @@ class EpochTable:
             self.tracer.emit(
                 EventType.EPOCH_COMMIT, "et", core=self.core, epoch=entry.ts,
             )
+        if self.journal is not None:
+            self.journal.append((self.engine.now, "commit"))
         for dependent in entry.dependents:
             self.send_cdr(dependent)
         if not self.over_capacity:

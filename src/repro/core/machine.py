@@ -240,6 +240,7 @@ class Machine:
         config: MachineConfig,
         run_config: Optional[RunConfig] = None,
         sinks: Optional[Iterable[object]] = None,
+        journal: Optional[List[tuple]] = None,
     ) -> None:
         self.config = config
         self.run_config = run_config or RunConfig()
@@ -251,6 +252,10 @@ class Machine:
         self.tracer: Optional[Tracer] = (
             Tracer(self.engine, sinks) if sinks else None
         )
+        #: crash journal (:func:`repro.core.crash.record_run`): every
+        #: change a crash image reads, as ``(cycle, kind, *args)``; None
+        #: on every other run.
+        self.journal = journal
         self.stats = StatsRegistry()
         self.amap = AddressMap(
             config.num_mcs, config.interleave_bytes, config.l1.line_bytes
@@ -325,6 +330,7 @@ class Machine:
                     scope=f"mc{index}",
                     mc=index,
                     tracer=self.tracer,
+                    journal=self.journal,
                 )
                 if needs_rt
                 else None
@@ -342,6 +348,7 @@ class Machine:
                 recovery_table=rt,
                 bloom_filter=bloom,
                 tracer=self.tracer,
+                journal=self.journal,
             )
             mc.respond = self._route_response
             mc.vorpal = self.vorpal
@@ -354,6 +361,7 @@ class Machine:
             self.stats, self.engine, self.config.hops_poll_access_cycles
         )
         tracer = self.tracer
+        journal = self.journal
         for core in range(self.config.num_cores):
             transport = Transport(
                 flush=self._make_flush_sender(core),
@@ -369,22 +377,22 @@ class Machine:
             elif hardware is HardwareModel.HOPS:
                 path = HOPSPath(
                     self.engine, self.config, self.stats, core, transport,
-                    self.global_ts, tracer=tracer,
+                    self.global_ts, tracer=tracer, journal=journal,
                 )
             elif hardware is HardwareModel.ASAP:
                 path = ASAPPath(
                     self.engine, self.config, self.stats, core, transport,
-                    tracer=tracer,
+                    tracer=tracer, journal=journal,
                 )
             elif hardware is HardwareModel.ASAP_NO_UNDO:
                 path = ASAPNoUndoPath(
                     self.engine, self.config, self.stats, core, transport,
-                    tracer=tracer,
+                    tracer=tracer, journal=journal,
                 )
             elif hardware is HardwareModel.VORPAL:
                 path = VorpalPath(
                     self.engine, self.config, self.stats, core, transport,
-                    self.vorpal, tracer=tracer,
+                    self.vorpal, tracer=tracer, journal=journal,
                 )
             elif hardware is HardwareModel.EADR:
                 path = EADRPath(
@@ -523,6 +531,10 @@ class Machine:
         registered = src_path.register_dependent(src_ts, (dependent_core, new_ts))
         assert registered, "source committed within the same event"
         self.log.record_dep(source, (dependent_core, new_ts))
+        if self.journal is not None:
+            self.journal.append(
+                (self.engine.now, "dep", source, (dependent_core, new_ts))
+            )
         self.stats.inc("interTEpochConflict")
         if self.tracer is not None:
             self.tracer.emit(
@@ -657,6 +669,10 @@ class Machine:
             # its implicit intra-thread predecessor edge so the checker
             # permits the relaxation the hardware grants.
             self.log.record_strand_start(core.index, path.current_ts)
+            if self.journal is not None:
+                self.journal.append(
+                    (self.engine.now, "strand", core.index, path.current_ts)
+                )
             self.stats.inc("strand_starts", scope=f"core{core.index}")
 
     # -- memory ops ---------------------------------------------------------
@@ -692,9 +708,14 @@ class Machine:
             self.hierarchies[victim_core].invalidate(line)
         write_id = self._next_write_id
         self._next_write_id = write_id + 1
-        self.log.record_write(
-            write_id, line, index, path.current_ts, payload=payload
-        )
+        epoch_ts = path.current_ts
+        self.log.record_write(write_id, line, index, epoch_ts, payload=payload)
+        journal = self.journal
+        if journal is not None:
+            journal.append(
+                (self.engine.now, "write", write_id, line, index, epoch_ts,
+                 payload)
+            )
 
         def stored() -> None:
             self.engine.schedule(
@@ -792,20 +813,12 @@ class Machine:
     def run_until(self, programs: Iterable[Program], crash_cycle: int) -> "Machine":
         """Run with a crash at ``crash_cycle``; returns self for the crash
         inspection API (:mod:`repro.core.crash`)."""
+        if crash_cycle < 0:
+            raise ValueError(f"crash cycle {crash_cycle} precedes cycle 0")
         self.start(programs)
-        return self.continue_until(crash_cycle)
-
-    def continue_until(self, cycle: int) -> "Machine":
-        """Advance a started machine to ``cycle`` and stop there.
-
-        The engine stops without touching its queue, so a later call
-        carries on exactly as one run straight to the later cycle would
-        have; :func:`repro.core.crash.crash_at_each` relies on this."""
-        if cycle < self.engine.now:
-            raise ValueError(
-                f"cycle {cycle} precedes the current cycle {self.engine.now}"
-            )
-        self.engine.run(until=cycle, max_events=self.run_config.max_events)
+        self.engine.run(
+            until=crash_cycle, max_events=self.run_config.max_events
+        )
         return self
 
     # ------------------------------------------------------------------

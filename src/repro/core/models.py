@@ -396,11 +396,12 @@ class BufferedPath(BaselinePath):
 
     def __init__(
         self, engine, config, stats, core, transport: Transport,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Tracer] = None, journal: Optional[list] = None,
     ) -> None:
         super().__init__(engine, config, stats, core, transport, tracer)
         self.et = EpochTable(
-            engine, config.et_entries, stats, self.scope, core, tracer=tracer
+            engine, config.et_entries, stats, self.scope, core, tracer=tracer,
+            journal=journal,
         )
         self.pb.classify_early = lambda ts: not self.et.is_safe(ts)
         self.pb.on_acked = lambda entry: self.et.on_write_acked(entry.epoch_ts)
@@ -487,8 +488,9 @@ class HOPSPath(BufferedPath):
     def __init__(
         self, engine, config, stats, core, transport: Transport,
         global_ts: GlobalTSRegister, tracer: Optional[Tracer] = None,
+        journal: Optional[list] = None,
     ) -> None:
-        super().__init__(engine, config, stats, core, transport, tracer)
+        super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.global_ts = global_ts
         self._polling = False
         self.pb.select_entry = make_conservative_policy(self.et.is_safe)
@@ -550,9 +552,9 @@ class ASAPPath(BufferedPath):
 
     def __init__(
         self, engine, config, stats, core, transport: Transport,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Tracer] = None, journal: Optional[list] = None,
     ) -> None:
-        super().__init__(engine, config, stats, core, transport, tracer)
+        super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.pb.select_entry = make_eager_policy(self.et.is_safe)
         self.pb.on_issue = self._on_issue
         self.pb.on_nacked = self._on_nacked
@@ -617,9 +619,9 @@ class VorpalPath(BufferedPath):
 
     def __init__(
         self, engine, config, stats, core, transport: Transport, coordinator,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Tracer] = None, journal: Optional[list] = None,
     ) -> None:
-        super().__init__(engine, config, stats, core, transport, tracer)
+        super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.coordinator = coordinator
         self.pb.select_entry = select_fifo_any
         self.pb.classify_early = lambda ts: False
@@ -660,9 +662,9 @@ class ASAPNoUndoPath(ASAPPath):
 
     def __init__(
         self, engine, config, stats, core, transport: Transport,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[Tracer] = None, journal: Optional[list] = None,
     ) -> None:
-        super().__init__(engine, config, stats, core, transport, tracer)
+        super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.pb.classify_early = lambda ts: False
         self.et.commit_action = self.et.finalize_commit
 

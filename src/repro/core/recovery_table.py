@@ -64,6 +64,7 @@ class RecoveryTable:
         scope: str,
         mc: Optional[int] = None,
         tracer: Optional[Tracer] = None,
+        journal: Optional[list] = None,
     ) -> None:
         self.engine = engine
         self.capacity = capacity
@@ -79,6 +80,8 @@ class RecoveryTable:
         #: controller-lane attribution).
         self.tracer = tracer
         self.mc = mc
+        #: crash journal (:func:`repro.core.crash.record_run`) or None.
+        self.journal = journal
 
     # ------------------------------------------------------------------
 
@@ -94,6 +97,14 @@ class RecoveryTable:
         self._occupancy.update(self.engine.now, occupancy)
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
+
+    def _journal_undo(self, line: int, safe_value: Optional[int]) -> None:
+        """Journal ``line``'s undo record: its new safe value, or None
+        once the record is deleted."""
+        if self.journal is not None:
+            self.journal.append(
+                (self.engine.now, "undo", self.mc, line, safe_value)
+            )
 
     # -- controller-facing protocol (RecoveryTableProtocol) -------------
 
@@ -118,6 +129,7 @@ class RecoveryTable:
         self._undo[line] = UndoRecord(
             line=line, safe_value=safe_value, core=core, epoch_ts=epoch_ts
         )
+        self._journal_undo(line, safe_value)
         self._note_occupancy()
         if self.tracer is not None:
             self.tracer.emit(
@@ -133,6 +145,7 @@ class RecoveryTable:
         if record is None:
             raise KeyError(f"no undo record for line {line:#x}")
         record.safe_value = safe_value
+        self._journal_undo(line, safe_value)
 
     def add_delay(
         self, line: int, write_id: int, core: int, epoch_ts: int
@@ -212,6 +225,7 @@ class RecoveryTable:
             if r.core == core and r.epoch_ts == epoch_ts
         ]:
             del self._undo[line]
+            self._journal_undo(line, None)
 
         to_persist: List[Tuple[int, int]] = []
         remaining: List[DelayRecord] = []
@@ -220,6 +234,7 @@ class RecoveryTable:
                 undo = self._undo.get(record.line)
                 if undo is not None:
                     undo.safe_value = record.write_id
+                    self._journal_undo(record.line, record.write_id)
                     self.stats.inc("delay_folded_into_undo", scope=self.scope)
                 else:
                     to_persist.append((record.line, record.write_id))

@@ -125,8 +125,7 @@ class VorpalCoordinator:
 
     def _release(self, mc: MemoryController, item: _QueuedWrite) -> None:
         packet = item.packet
-        if mc.wpq.push(packet.line, packet.write_id):
-            mc.adr_value[packet.line] = packet.write_id
+        if mc.push_durable(packet.line, packet.write_id):
             mc.stats.inc("flushes_admitted", scope=mc.scope)
             queue = self._queues[mc]
             queue.remove(item)

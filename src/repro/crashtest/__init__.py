@@ -2,9 +2,9 @@
 
 For any registry workload and any hardware model, this package
 enumerates crash points (every epoch-commit boundary plus
-stratified-random mid-epoch cycles, deterministically seeded), crashes
-one simulation of the cell at each in turn
-(:func:`repro.core.crash.crash_at_each`), adjudicates every surviving
+stratified-random mid-epoch cycles, deterministically seeded), simulates
+the cell once (:func:`repro.core.crash.record_run`), replays the crash
+image at each point from that run's journal, adjudicates every surviving
 media image against the generic Theorem-2 checker *and* the workload's
 semantic ``recovery_oracle()``, and -- on a violation -- minimizes the
 failure to the smallest crash cycle and media delta, serialized to JSON
@@ -37,12 +37,10 @@ from repro.crashtest.minimize import (
     shrink_media,
 )
 from repro.crashtest.points import (
-    CommitCollector,
     ReferenceRun,
     derive_rng,
     enumerate_crash_points,
     stratified_cycles,
-    trace_reference,
 )
 from repro.crashtest.serialize import (
     STATE_KIND,
@@ -57,7 +55,6 @@ __all__ = [
     "CRASHTEST_SCHEMA_VERSION",
     "CampaignReport",
     "CellReport",
-    "CommitCollector",
     "CrashCellSpec",
     "CrashPointResult",
     "MinimizedFailure",
@@ -77,5 +74,4 @@ __all__ = [
     "save_state",
     "shrink_media",
     "stratified_cycles",
-    "trace_reference",
 ]

@@ -2,9 +2,10 @@
 
 One **campaign** = (workloads x models) cells; one **cell** = a
 deterministic set of crash points (see :mod:`repro.crashtest.points`).
-A cell is simulated once: :func:`repro.core.crash.crash_at_each` runs
-its machine through the crash cycles in ascending order and, at each,
-adjudicates the crash image against:
+A cell is simulated once: :func:`repro.core.crash.record_run` runs it to
+completion and journals every crash-visible change, and the crash image
+at each crash cycle, replayed from that journal in ascending order, is
+adjudicated against:
 
 - the generic Theorem-2 checker
   (:func:`repro.verify.consistency.check_consistency`), and
@@ -14,10 +15,11 @@ adjudicates the crash image against:
 Cells fan out and cache exactly like experiment cells: a
 :class:`CrashCellSpec` is a :class:`~repro.exp.spec.RunSpec` plus a
 crash-point budget, run through :func:`~repro.exp.spec.run_specs`, and
-its result is the cell's reference run plus one small picklable
-:class:`CrashPointResult` per point.  On a violation the campaign
-minimizes the failure (:mod:`repro.crashtest.minimize`) and serializes
-a replayable :class:`~repro.core.crash.CrashState`.
+its result is the cell's reference run (drain horizon and commit
+cycles) plus one small picklable :class:`CrashPointResult` per point.
+On a violation the campaign records the cell again, minimizes the
+failure over that recording (:mod:`repro.crashtest.minimize`) and
+serializes a replayable :class:`~repro.core.crash.CrashState`.
 
 Reports are **canonical**: same spec + same seed = byte-identical
 ``to_dict()`` JSON, whether results came fresh, from the cache, or from
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.api import PMAllocator, Program
-from repro.core.crash import CrashState, crash_at_each, run_and_crash
+from repro.core.crash import CrashRecording, CrashState, record_run
 from repro.core.models import RP_MODELS, ModelSpec
 from repro.exp.cache import ResultCache
 from repro.exp.executors import Executor, SerialExecutor
@@ -42,11 +44,7 @@ from repro.verify.consistency import check_consistency
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 from repro.crashtest.minimize import minimize_failure
-from repro.crashtest.points import (
-    ReferenceRun,
-    enumerate_crash_points,
-    trace_reference,
-)
+from repro.crashtest.points import ReferenceRun, enumerate_crash_points
 from repro.crashtest.serialize import save_state
 
 #: participates in every CrashCellSpec key and in the seed of every
@@ -92,6 +90,10 @@ class CrashCellSpec(RunSpec):
         num_threads: Optional[int] = None,
         seed: int = 7,
     ) -> None:
+        if points < 1:
+            raise ValueError(
+                f"a crash cell needs at least 1 point, got {points}"
+            )
         super().__init__(
             workload, model, machine=machine, ops_per_thread=ops_per_thread,
             num_threads=num_threads, seed=seed,
@@ -102,12 +104,9 @@ class CrashCellSpec(RunSpec):
         threads = self.num_threads or self.machine.num_cores
         return self.build_workload().programs(PMAllocator(), threads)
 
-    def simulate(self, crash_cycle: int) -> CrashState:
-        """Fresh run of this cell, crashed at ``crash_cycle`` (what
-        minimization bisects)."""
-        return run_and_crash(
-            self.machine, self.run_config(), self.programs(), crash_cycle
-        )
+    def record(self) -> CrashRecording:
+        """One full run of this cell, journaled for crash replay."""
+        return record_run(self.machine, self.run_config(), self.programs())
 
     def crash_cycles(self, reference: ReferenceRun) -> List[int]:
         """The cell's crash points.  Their seed is this identity, which
@@ -144,11 +143,9 @@ class CrashCellSpec(RunSpec):
     # -- execution ----------------------------------------------------------
 
     def execute(self) -> Tuple[ReferenceRun, List[CrashPointResult]]:
-        """Trace the reference run, enumerate the crash points, then crash
-        one simulation at each in cycle order and adjudicate it there."""
-        reference = trace_reference(
-            self.machine, self.run_config(), self.programs()
-        )
+        """Record the cell once, enumerate its crash points, then replay
+        the crash image at each in cycle order and adjudicate it there."""
+        recording = self.record()
         oracle = self.build_workload()
 
         def judge(state: CrashState) -> CrashPointResult:
@@ -161,10 +158,8 @@ class CrashCellSpec(RunSpec):
                 writes_logged=len(state.log.writes),
             )
 
-        results = crash_at_each(
-            self.machine, self.run_config(), self.programs(),
-            self.crash_cycles(reference), judge,
-        )
+        reference = recording.reference
+        results = recording.crash_at_each(self.crash_cycles(reference), judge)
         return reference, results
 
 
@@ -371,8 +366,15 @@ def _minimize_cell(
         if cell_results[i].ok:
             passing_cycle = cell_results[i].crash_cycle
             break
+    recording = spec.record()
+
+    def crash_at(cycle: int) -> CrashState:
+        # one replay per cycle: each state gets its own epoch log
+        (state,) = recording.crash_at_each([cycle], lambda state: state)
+        return state
+
     minimized = minimize_failure(
-        spec.simulate, judge, cell_results[failing_index].crash_cycle,
+        crash_at, judge, cell_results[failing_index].crash_cycle,
         passing_cycle,
     )
     failure = {

@@ -5,8 +5,11 @@ crash state with hundreds of surviving lines, at a cycle deep into the
 run.  Two delta-debugging passes shrink it to something a human can read:
 
 1. **Cycle bisection** -- between the last known-passing probed cycle
-   and the failing one, bisect re-simulated crashes to a *locally
-   minimal* failing cycle (its immediate bisection predecessor passes).
+   and the failing one, bisect crash images to a *locally minimal*
+   failing cycle (its immediate bisection predecessor passes).  The
+   campaign takes each image from one recording of the cell
+   (:meth:`repro.core.crash.CrashRecording.crash_at_each`), so no step
+   re-simulates.
    Crash failures need not be monotone in time, so this finds *a*
    boundary, not the global first failure -- which is exactly what a
    repro needs.
@@ -29,7 +32,8 @@ from repro.core.crash import CrashState
 
 #: judge(state) -> list of violation descriptions (empty = passing).
 Judge = Callable[[CrashState], List[str]]
-#: simulate(cycle) -> the crash state of a fresh run crashed there.
+#: simulate(cycle) -> the crash state of the run crashed there, with an
+#: epoch log of its own (a kept state must not change later).
 Simulate = Callable[[int], CrashState]
 
 
@@ -43,7 +47,7 @@ class MinimizedFailure:
     original_cycle: int
     #: surviving-media entries before shrinking.
     original_media_lines: int
-    #: re-simulations spent bisecting.
+    #: crash states taken while bisecting.
     simulations: int
 
 
@@ -64,7 +68,7 @@ def bisect_crash_cycle(
     simulations = 1
     if not best_violations:
         raise ValueError(
-            f"cycle {failing_cycle} does not fail under re-simulation; "
+            f"cycle {failing_cycle} does not fail when crashed again; "
             "crash reproduction is broken (non-deterministic workload?)"
         )
     while hi - lo > 1:

@@ -4,11 +4,13 @@ Following the systematic-enumeration methodology (crash points chosen by
 *structure*, not uniform luck), a campaign crashes at two kinds of
 instants:
 
-1. **Epoch-commit boundaries** -- the cycle right after each
-   ``EPOCH_COMMIT`` event of a traced reference run.  Commits are where
-   buffered designs change what recovery would see, so the instants just
-   after them are the highest-value probes.  (Designs without an epoch
-   table -- the Intel baseline, eADR -- contribute none.)
+1. **Epoch-commit boundaries** -- the cycle right after each epoch
+   commit of the cell's recorded run (the
+   :class:`~repro.core.crash.ReferenceRun` of
+   :func:`repro.core.crash.record_run`).  Commits are where buffered
+   designs change what recovery would see, so the instants just after
+   them are the highest-value probes.  (Designs without an epoch table
+   -- the Intel baseline, eADR -- contribute none.)
 2. **Stratified-random mid-epoch cycles** -- the run's cycle span is cut
    into equal strata and one cycle drawn per stratum, so probes cover
    the whole execution instead of clustering.
@@ -21,57 +23,10 @@ cycles -- a requirement for result caching and byte-identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List
 
-from repro.core.api import Op
-from repro.core.machine import Machine
+from repro.core.crash import ReferenceRun
 from repro.exp.spec import digest
-from repro.obs.events import Event, EventType
-from repro.sim.config import MachineConfig, RunConfig
-
-
-class CommitCollector:
-    """Event sink recording the cycle of every epoch commit."""
-
-    def __init__(self) -> None:
-        self.cycles: List[int] = []
-
-    def handle(self, event: Event) -> None:
-        if event.type is EventType.EPOCH_COMMIT:
-            self.cycles.append(event.cycle)
-
-    def close(self) -> None:  # pragma: no cover - sink protocol
-        pass
-
-
-@dataclass(frozen=True)
-class ReferenceRun:
-    """Horizon and commit boundaries of one traced full run."""
-
-    #: cycle at which the machine fully drained (enumeration horizon).
-    drain_cycles: int
-    runtime_cycles: int
-    #: epoch-commit cycles, ascending, deduplicated.
-    commit_cycles: tuple
-
-
-def trace_reference(
-    machine: MachineConfig,
-    run_config: RunConfig,
-    programs: Sequence[Iterable[Op]],
-) -> ReferenceRun:
-    """Run ``programs`` (one op stream per thread) to completion once,
-    collecting commit cycles; no crash."""
-    collector = CommitCollector()
-    result = Machine(machine, run_config, sinks=[collector]).run(
-        [iter(ops) for ops in programs]
-    )
-    return ReferenceRun(
-        drain_cycles=result.drain_cycles,
-        runtime_cycles=result.runtime_cycles,
-        commit_cycles=tuple(sorted(set(collector.cycles))),
-    )
 
 
 def derive_rng(identity: dict) -> random.Random:
@@ -130,10 +85,8 @@ def enumerate_crash_points(
 
 
 __all__ = [
-    "CommitCollector",
     "ReferenceRun",
     "derive_rng",
     "enumerate_crash_points",
     "stratified_cycles",
-    "trace_reference",
 ]

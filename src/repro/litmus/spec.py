@@ -10,15 +10,16 @@ its name.
 
 Executing a cell:
 
-1. trace one full reference run to learn the drain horizon and the
-   epoch-commit cycles (:func:`repro.crashtest.points.trace_reference`);
+1. simulate the cell once to completion, journaling every crash-visible
+   change (:func:`repro.core.crash.record_run`), which also yields the
+   drain horizon and the epoch-commit cycles;
 2. enumerate crash cycles (commit boundaries + stratified random,
    seeded from the spec's content hash), plus cycle 1 and one
    past-drain cycle for the pristine and fully-drained images;
-3. crash one simulation at each cycle in turn
-   (:func:`repro.core.crash.crash_at_each`) and canonicalize each
-   surviving media image into a symbolic state via the stores' payload
-   labels.
+3. replay the crash image at each cycle in turn
+   (:meth:`repro.core.crash.CrashRecording.crash_at_each`) and
+   canonicalize each surviving media image into a symbolic state via
+   the stores' payload labels.
 
 The result records each distinct observed state with the first crash
 cycle that exposed it, which is what the disagreement report prints.
@@ -32,9 +33,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.axiom.program import INIT, LINE, LitmusTest, NVMState, format_state
 from repro.core.api import Op
-from repro.core.crash import CrashState, crash_at_each
+from repro.core.crash import CrashState, record_run
 from repro.core.models import ModelSpec, resolve_model
-from repro.crashtest.points import enumerate_crash_points, trace_reference
+from repro.crashtest.points import enumerate_crash_points
 from repro.exp.spec import Spec, jsonable
 from repro.sim.config import MachineConfig, RunConfig
 from repro.trace.ops import decode_op, encode_op
@@ -77,6 +78,10 @@ class LitmusSpec(Spec):
             raise TypeError(
                 "LitmusSpec wants the LitmusTest itself (its ops are part "
                 f"of the cell identity), got {test!r}"
+            )
+        if points < 1:
+            raise ValueError(
+                f"a litmus cell needs at least 1 point, got {points}"
             )
         object.__setattr__(self, "test", test.name)
         object.__setattr__(self, "family", test.family)
@@ -121,9 +126,11 @@ class LitmusSpec(Spec):
     # -- execution -----------------------------------------------------------
 
     def execute(self) -> "LitmusCellResult":
-        run_config = self.run_config()
-        programs = self.programs()
-        reference = trace_reference(self.machine, run_config, programs)
+        recording = record_run(
+            self.machine, self.run_config(),
+            [iter(ops) for ops in self.programs()],
+        )
+        reference = recording.reference
         cycles = set(
             enumerate_crash_points(reference, self.points, self.describe())
         )
@@ -143,10 +150,7 @@ class LitmusSpec(Spec):
             return format_state(state)
 
         ordered = sorted(cycles)
-        observed = crash_at_each(
-            self.machine, run_config, [iter(ops) for ops in self.programs()],
-            ordered, observe,
-        )
+        observed = recording.crash_at_each(ordered, observe)
         first_cycle: Dict[str, int] = {}
         for cycle, state in zip(ordered, observed):
             first_cycle.setdefault(state, cycle)

@@ -147,6 +147,7 @@ class MemoryController:
         recovery_table: Optional[RecoveryTableProtocol] = None,
         bloom_filter: Optional[object] = None,
         tracer: Optional[Tracer] = None,
+        journal: Optional[list] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -167,8 +168,13 @@ class MemoryController:
             engine, config.wpq_entries, stats, self.scope, mc=index,
             tracer=tracer,
         )
-        #: newest durable (ADR-domain) write id per line.
+        #: newest durable (ADR-domain) write id per line; set only by
+        #: :meth:`push_durable`.
         self.adr_value: Dict[int, int] = {}
+        #: crash journal (:func:`repro.core.crash.record_run`) or None;
+        #: every ``adr_value`` change appends ``(cycle, "adr", mc, line,
+        #: write_id)``.
+        self.journal = journal
         #: responses are delivered through this hook (wired by the machine).
         self.respond: Callable[[FlushResponse], None] = lambda resp: None
         #: deque: packets are consumed head-first, which list.pop(0) made O(n).
@@ -183,6 +189,19 @@ class MemoryController:
     # ------------------------------------------------------------------
     # value plane
     # ------------------------------------------------------------------
+
+    def push_durable(self, line: int, write_id: int) -> bool:
+        """Push a write into the WPQ, where ADR makes it durable.
+
+        False when the WPQ is full: the caller waits for space."""
+        if not self.wpq.push(line, write_id):
+            return False
+        self.adr_value[line] = write_id
+        if self.journal is not None:
+            self.journal.append(
+                (self.engine.now, "adr", self.index, line, write_id)
+            )
+        return True
 
     def durable_value(self, line: int) -> int:
         """Newest write id for ``line`` inside the persistence domain."""
@@ -315,8 +334,7 @@ class MemoryController:
         persist buffers when the device cannot keep up.  ``ack_delay``
         postpones only the response (undo-record read latency).
         """
-        if self.wpq.push(packet.line, packet.write_id):
-            self.adr_value[packet.line] = packet.write_id
+        if self.push_durable(packet.line, packet.write_id):
             counter = self._admitted_counter
             if counter is None:
                 counter = self._admitted_counter = self.stats.counter(
@@ -377,8 +395,7 @@ class MemoryController:
             return
         line, write_id = released[0]
         rest = released[1:]
-        if self.wpq.push(line, write_id):
-            self.adr_value[line] = write_id
+        if self.push_durable(line, write_id):
             self.stats.inc("delay_records_persisted", scope=self.scope)
             self._pump_drain()
             self._apply_released(rest, message)
@@ -425,16 +442,19 @@ class MemoryController:
     def crash_drain(self) -> Dict[int, int]:
         """Model the ADR power-fail sequence; return the post-crash media.
 
-        1. Everything in the persistence domain (WPQ + in-flight media
-           writes, summarized by ``adr_value``) reaches the media.
+        1. Everything in the persistence domain reaches the media.
+           ``adr_value`` summarizes it: a line reaches the media only out
+           of the WPQ, and ``adr_value`` took that write or a newer one
+           when it entered, so the media itself adds nothing.
         2. Undo-record values are written on top, unwinding speculation.
         3. Delay records are discarded (their epochs never committed).
+
+        This is one controller's share of
+        :func:`repro.core.crash.crash_image`.
         """
-        media = dict(self.nvm.media)
-        media.update(self.adr_value)
+        media = dict(self.adr_value)
         if self.recovery_table is not None:
-            for line, safe_value in self.recovery_table.undo_records():
-                media[line] = safe_value
+            media.update(self.recovery_table.undo_records())
         return media
 
 

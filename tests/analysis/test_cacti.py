@@ -3,8 +3,6 @@
 import pytest
 
 from repro.analysis.cacti import (
-    DrainingCost,
-    HardwareCost,
     draining_comparison,
     table_v,
 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.energy import EnergyBreakdown, energy_per_op, estimate_energy
+from repro.analysis.energy import energy_per_op, estimate_energy
 from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel, RunConfig
 from repro.workloads import get_workload, run_workload
 

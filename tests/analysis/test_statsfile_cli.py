@@ -8,7 +8,6 @@ from repro.analysis.statsfile import (
     write_stats,
 )
 from repro.cli import main
-from repro.core.api import PMAllocator
 from repro.sim.config import HardwareModel, MachineConfig, RunConfig
 from repro.workloads import get_workload, run_workload
 

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.core.crash import run_and_crash
 from repro.crashtest import CrashCellSpec, adjudicate, run_campaign
 from repro.exp import ResultCache, execute_spec
+from repro.litmus.corpus import build_corpus
+from repro.litmus.spec import LitmusSpec
 
 
 def _smoke(**kwargs):
@@ -57,7 +60,10 @@ def test_cell_points_match_fresh_single_point_runs():
     reference, results = spec.execute()
     assert [r.crash_cycle for r in results] == spec.crash_cycles(reference)
     for result in results:
-        state = spec.simulate(result.crash_cycle)
+        state = run_and_crash(
+            spec.machine, spec.run_config(), spec.programs(),
+            result.crash_cycle,
+        )
         generic, oracle = adjudicate(state, spec.build_workload())
         assert (result.generic_violations, result.oracle_violations) == (
             tuple(generic), tuple(oracle)
@@ -70,6 +76,22 @@ def test_cell_points_match_fresh_single_point_runs():
 def test_campaign_without_points_is_rejected(points):
     with pytest.raises(ValueError, match="at least 1 point"):
         _smoke(points=points)
+
+
+@pytest.mark.parametrize("points", [0, -3])
+@pytest.mark.parametrize("build", [
+    lambda points: CrashCellSpec(
+        "queue", "asap_rp", points, ops_per_thread=6
+    ),
+    lambda points: LitmusSpec(
+        build_corpus(names=["mp_fenced"])[0], "asap_rp", points=points
+    ),
+], ids=["crash", "litmus"])
+def test_cell_without_points_is_rejected_where_it_is_built(build, points):
+    """A cell spec with no crash-point budget is refused at construction
+    (before, it still ran at least one crash point)."""
+    with pytest.raises(ValueError, match="at least 1 point"):
+        build(points)
 
 
 # -- smoke campaign ---------------------------------------------------------

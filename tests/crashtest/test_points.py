@@ -1,15 +1,20 @@
 """Crash-point enumeration: deterministic, structured, in-bounds."""
 
+import pytest
+
 from repro.core.api import PMAllocator
-from repro.core.models import resolve_model
+from repro.core.crash import record_run
+from repro.core.machine import Machine
+from repro.core.models import MODEL_REGISTRY, resolve_model
 from repro.crashtest.points import (
     ReferenceRun,
     derive_rng,
     enumerate_crash_points,
     stratified_cycles,
-    trace_reference,
 )
-from repro.sim.config import MachineConfig
+from repro.obs.events import EventType
+from repro.obs.sinks import RingBufferSink
+from repro.sim.config import HardwareModel, MachineConfig
 from repro.workloads import get_workload
 
 IDENTITY = {"workload": "queue", "model": "asap_rp", "seed": 7, "points": 20}
@@ -80,14 +85,30 @@ def test_stratified_cycles_cover_all_strata():
         assert lo <= cycle < max(lo + 1, hi)
 
 
-def test_trace_reference_finds_commits_on_buffered_designs():
+@pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
+def test_recording_reference_matches_a_traced_run(model):
+    """The recording's horizon and commit cycles are the ones a traced
+    run of the same cell reports."""
     machine = MachineConfig()
-    programs = get_workload("queue", ops_per_thread=6).programs(
-        PMAllocator(), machine.num_cores
+    run_config = resolve_model(model).run_config(seed=7)
+
+    def programs():
+        return get_workload("queue", ops_per_thread=6).programs(
+            PMAllocator(), machine.num_cores
+        )
+
+    ring = RingBufferSink()
+    traced = Machine(machine, run_config, sinks=[ring]).run(programs())
+    ref = record_run(machine, run_config, programs()).reference
+    commits = {
+        event.cycle for event in ring.events
+        if event.type is EventType.EPOCH_COMMIT
+    }
+    assert ref.commit_cycles == tuple(sorted(commits))
+    assert ref.drain_cycles == traced.drain_cycles
+    assert ref.runtime_cycles == traced.runtime_cycles
+    # designs with an epoch table commit; the baseline and eADR have none
+    assert bool(ref.commit_cycles) == (
+        resolve_model(model).hardware
+        not in (HardwareModel.BASELINE, HardwareModel.EADR)
     )
-    model = resolve_model("asap_rp")
-    ref = trace_reference(machine, model.run_config(seed=7), programs)
-    assert ref.drain_cycles > 0
-    assert ref.commit_cycles  # the epoch table committed something
-    assert ref.commit_cycles == tuple(sorted(set(ref.commit_cycles)))
-    assert all(c <= ref.drain_cycles for c in ref.commit_cycles)

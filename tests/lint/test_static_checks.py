@@ -1,5 +1,5 @@
-"""Run ruff over ``src/repro`` and mypy --strict over the typed packages
-when available.
+"""Run ruff over ``src/repro``, ``tests``, ``benchmarks`` and
+``examples``, and mypy --strict over the typed packages, when available.
 
 CI installs both tools and runs them as a dedicated job (see
 ``.github/workflows/ci.yml``); this test gives the same signal locally
@@ -24,11 +24,8 @@ def _have(module: str) -> bool:
 @pytest.mark.skipif(not _have("ruff"), reason="ruff not installed")
 def test_ruff_clean_on_typed_packages():
     proc = subprocess.run(
-        [sys.executable, "-m", "ruff", "check", "src/repro",
-         "tests/lint", "tests/bench", "tests/axiom", "tests/litmus",
-         "tests/report", "tests/exp", "tests/fabric",
-         "tests/sim", "tests/mem", "tests/coherence", "tests/core",
-         "tests/obs", "tests/crashtest"],
+        [sys.executable, "-m", "ruff", "check", "src/repro", "tests",
+         "benchmarks", "examples"],
         cwd=REPO,
         capture_output=True,
         text=True,

@@ -16,7 +16,6 @@ Three invariants the campaign silently relies on:
    round-trip bit-for-bit (canonical text) and field-for-field.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.api import PMAllocator

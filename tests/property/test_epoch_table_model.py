@@ -12,7 +12,6 @@ step:
 - retired epochs never reappear.
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,

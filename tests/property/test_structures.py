@@ -1,7 +1,5 @@
 """Property-based tests on the core data structures."""
 
-from collections import OrderedDict
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -8,7 +8,6 @@ surviving line value.  Hypothesis feeds both with random small logs and
 crash images; the verdicts must agree exactly.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.epoch import EpochLog

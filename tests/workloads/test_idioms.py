@@ -1,8 +1,6 @@
 """Unit tests for the persistence idioms (pmdk_tx, AtlasSection) and the
 microbenchmarks."""
 
-import pytest
-
 from repro.core.api import (
     Acquire,
     Compute,

@@ -17,7 +17,6 @@ from repro.sim.config import (
 )
 from repro.workloads import SUITE, get_workload, run_workload, workload_names
 from repro.workloads.base import Workload
-from repro.workloads.registry import MICROBENCHES
 
 SMALL = 12  # ops per thread for functional checks
 
