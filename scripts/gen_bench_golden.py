@@ -10,7 +10,8 @@ The corpus pins the simulator's observable output byte-for-byte:
   run double as the untraced goldens);
 - ``grid_fingerprints.json``          -- result fingerprints
   (:meth:`repro.workloads.base.WorkloadResult.fingerprint`) over a wider
-  workload x model grid, cheap enough to run in the tier-1 suite.
+  grid of workloads x every registered design, cheap enough to run in
+  the tier-1 suite.
 
 Run it ONLY when a PR intentionally changes simulation semantics; a
 performance-only change must leave every file untouched (that is the
@@ -30,6 +31,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.statsfile import format_stats  # noqa: E402
+from repro.core.models import MODEL_REGISTRY  # noqa: E402
 from repro.exp import RunSpec  # noqa: E402
 from repro.obs import JSONLSink  # noqa: E402
 from repro.sim.config import MachineConfig  # noqa: E402
@@ -37,8 +39,12 @@ from repro.workloads.base import run_workload  # noqa: E402
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "bench" / "golden"
 
-#: the four release-persistency designs of Sections VII-B onward.
-RP_MODEL_NAMES = ("baseline", "hops_rp", "asap_rp", "eadr")
+#: the four release-persistency designs of Sections VII-B onward, plus
+#: Vorpal's ordering queue and the no-undo ablation, whose admission
+#: paths the RP designs never reach.
+TRACED_MODEL_NAMES = (
+    "baseline", "hops_rp", "asap_rp", "eadr", "vorpal", "asap_no_undo",
+)
 
 #: (workload, threads, ops) cells pinned byte-for-byte (stats + trace).
 TRACED_CELLS = (
@@ -46,7 +52,8 @@ TRACED_CELLS = (
     ("queue", 2, 24),
 )
 
-#: wider grid pinned by result fingerprint only.
+#: wider grid pinned by result fingerprint only, over every design.
+FINGERPRINT_MODEL_NAMES = tuple(MODEL_REGISTRY)
 FINGERPRINT_WORKLOADS = (
     "bandwidth", "fence_latency", "coalescing",
     "nstore", "queue", "cceh", "echo", "heap",
@@ -75,7 +82,7 @@ def traced_cell(workload: str, model: str, threads: int, ops: int,
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for workload, threads, ops in TRACED_CELLS:
-        for model in RP_MODEL_NAMES:
+        for model in TRACED_MODEL_NAMES:
             stem = f"{workload}_{model}"
             events_path = GOLDEN_DIR / f"{stem}.events.jsonl"
             stats_text = traced_cell(workload, model, threads, ops,
@@ -86,7 +93,7 @@ def main() -> int:
 
     fingerprints = {}
     for workload in FINGERPRINT_WORKLOADS:
-        for model in RP_MODEL_NAMES:
+        for model in FINGERPRINT_MODEL_NAMES:
             spec = RunSpec(workload, model, ops_per_thread=FINGERPRINT_OPS,
                            num_threads=FINGERPRINT_THREADS, seed=SEED)
             result = spec.execute()

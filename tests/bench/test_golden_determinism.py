@@ -17,6 +17,7 @@ import pathlib
 import pytest
 
 from repro.analysis.statsfile import format_stats
+from repro.core.models import MODEL_REGISTRY
 from repro.exp import RunSpec
 from repro.obs import JSONLSink
 from repro.sim.config import MachineConfig
@@ -24,7 +25,10 @@ from repro.workloads.base import run_workload
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-RP_MODEL_NAMES = ("baseline", "hops_rp", "asap_rp", "eadr")
+TRACED_MODEL_NAMES = (
+    "baseline", "hops_rp", "asap_rp", "eadr", "vorpal", "asap_no_undo",
+)
+FINGERPRINT_MODEL_NAMES = tuple(MODEL_REGISTRY)
 TRACED_CELLS = (
     ("bandwidth", 2, 24),
     ("queue", 2, 24),
@@ -53,7 +57,7 @@ def _traced_cell(workload: str, model: str, threads: int, ops: int,
 
 
 @pytest.mark.parametrize("workload,threads,ops", TRACED_CELLS)
-@pytest.mark.parametrize("model", RP_MODEL_NAMES)
+@pytest.mark.parametrize("model", TRACED_MODEL_NAMES)
 def test_stats_and_trace_byte_identical(workload, threads, ops, model,
                                         tmp_path):
     stats_path = GOLDEN_DIR / f"{workload}_{model}.stats.txt"
@@ -84,7 +88,7 @@ def _jsonable(value):
 def test_grid_fingerprints_match_golden():
     golden = json.loads((GOLDEN_DIR / "grid_fingerprints.json").read_text())
     for workload in FINGERPRINT_WORKLOADS:
-        for model in RP_MODEL_NAMES:
+        for model in FINGERPRINT_MODEL_NAMES:
             spec = RunSpec(workload, model, ops_per_thread=FINGERPRINT_OPS,
                            num_threads=FINGERPRINT_THREADS, seed=SEED)
             got = [_jsonable(v) for v in spec.execute().fingerprint()]
