@@ -17,7 +17,7 @@ whose programs are the only ones that start strands.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.core.api import PMAllocator
 from repro.core.crash import record_run, run_and_crash
@@ -39,6 +39,10 @@ PERMILLE = st.lists(
     st.integers(min_value=1, max_value=1300), min_size=1, max_size=8
 )
 PAST_DRAIN = st.integers(min_value=1, max_value=200)
+# No shrink phase: every example re-simulates its cell at each cycle, so
+# shrinking a failure takes many minutes; the unshrunk example reports
+# the first diverging cycle's state just as well, within seconds.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _assert_replay_matches_fresh_runs(model, programs, permille, past_drain):
@@ -61,7 +65,7 @@ def _assert_replay_matches_fresh_runs(model, programs, permille, past_drain):
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 @given(
     workload=st.sampled_from(WORKLOADS),
     threads=st.sampled_from([1, 2, 4]),
@@ -80,7 +84,7 @@ def test_one_pass_matches_a_fresh_run_at_every_cycle(
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_REGISTRY))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, phases=NO_SHRINK)
 @given(
     test=st.sampled_from(LITMUS_TESTS),
     permille=PERMILLE,
