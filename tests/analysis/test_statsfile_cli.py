@@ -84,9 +84,11 @@ class TestCLI:
         assert code == 0
         assert "consistent" in capsys.readouterr().out
 
-    def test_unknown_workload_errors(self):
-        with pytest.raises(KeyError):
+    def test_unknown_workload_errors(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "not_a_workload"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'not_a_workload'" in capsys.readouterr().err
 
     def test_vorpal_model_available(self, capsys):
         code = main([
