@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import pathlib
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "perf_ab.py"
@@ -117,3 +118,31 @@ def test_render_has_one_line_per_metric():
         "verdict"]
     assert len(lines) == 1 + len(END_TO_END)
     assert lines[2].split()[:2] == ["grid", "throughput"]
+
+
+def test_each_side_gets_its_own_filled_bytecode_cache(tmp_path, monkeypatch):
+    """Both sides start from a cache compiled before the first pair,
+    each in its own prefix, even where the host forbids writing
+    bytecode."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    scratch = tmp_path / "scratch"
+    envs = {side: perf_ab.side_env(str(scratch), side)
+            for side in ("base", "change")}
+    assert envs["base"]["PYTHONPYCACHEPREFIX"] != (
+        envs["change"]["PYTHONPYCACHEPREFIX"])
+    for side, env in envs.items():
+        assert env["PYTHONPYCACHEPREFIX"].startswith(str(scratch))
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        tree = tmp_path / side
+        for package in ("src", "perfbench"):
+            (tree / package).mkdir(parents=True)
+            (tree / package / "mod.py").write_text("VALUE = 1\n")
+        perf_ab.fill_bytecode_cache(str(tree), env)
+        cached = sorted(
+            name for _dir, _subdirs, names in os.walk(
+                env["PYTHONPYCACHEPREFIX"])
+            for name in names)
+        assert len(cached) == 2 and all(
+            name.startswith("mod.") and name.endswith(".pyc")
+            for name in cached), cached
+        assert not list(tree.rglob("__pycache__"))
