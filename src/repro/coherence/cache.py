@@ -3,9 +3,9 @@
 The hierarchy mirrors Table II: private 32 kB L1, private 2 MB L2, shared
 16 MB LLC.  The model answers one question per access -- *how long does it
 take?* -- and tracks hit/miss statistics.  Data values never live in the
-cache model (the simulator's value plane is the write-id store in
-:mod:`repro.mem.nvm`), so evictions only matter for their interaction with
-the persist path:
+cache model (which write is durable is the memory controllers'
+``adr_value`` record, :mod:`repro.mem.controller`), so evictions only
+matter for their interaction with the persist path:
 
 - dirty *persistent* lines evicted from the LLC are dropped, because in the
   buffered designs the persist path goes through the persist buffer, not

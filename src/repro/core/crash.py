@@ -65,8 +65,8 @@ def crash_image(
 ) -> Dict[int, int]:
     """The media after the power-fail sequence.
 
-    ``controllers`` holds, per memory controller, its ADR values (line ->
-    newest write id in the WPQ or on the media) and its undo records
+    ``controllers`` holds, per memory controller, its ``adr_value``
+    (line -> newest write id the WPQ accepted) and its undo records
     (line, safe value).  Each controller drains its ADR domain and writes
     its undo values on top; delay records are discarded.  eADR flushes
     the whole cache hierarchy instead: every write that ever executed is

@@ -75,7 +75,6 @@ class RecoveryTable:
         #: Section IV-F: "more than one delay record may be created").
         self._delay: List[DelayRecord] = []
         self._occupancy = stats.weighted("rt_occupancy", capacity, scope=scope)
-        self.max_occupancy = 0
         #: optional :class:`repro.obs.Tracer` + owning MC index (for
         #: controller-lane attribution).
         self.tracer = tracer
@@ -93,10 +92,7 @@ class RecoveryTable:
         return len(self) >= self.capacity
 
     def _note_occupancy(self) -> None:
-        occupancy = len(self)
-        self._occupancy.update(self.engine.now, occupancy)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
+        self._occupancy.update(self.engine.now, len(self))
 
     def _journal_undo(self, line: int, safe_value: Optional[int]) -> None:
         """Journal ``line``'s undo record: its new safe value, or None

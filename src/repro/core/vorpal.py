@@ -124,18 +124,17 @@ class VorpalCoordinator:
                 self._release(mc, item)
 
     def _release(self, mc: MemoryController, item: _QueuedWrite) -> None:
-        packet = item.packet
-        if mc.push_durable(packet.line, packet.write_id):
-            mc.stats.inc("flushes_admitted", scope=mc.scope)
+        """Admit the write to ``mc``'s WPQ; it leaves the ordering queue
+        once admitted."""
+
+        def leave_queue() -> None:
             queue = self._queues[mc]
             queue.remove(item)
             self.stats.weighted(
                 "vorpal_queue_occupancy", 256, scope=mc.scope
             ).update(self.engine.now, len(queue))
-            mc._ack(packet)
-            mc._pump_drain()
-        else:
-            mc.wpq.space_waiter.wait(lambda: self._release(mc, item))
+
+        mc.admit(item.packet, leave_queue)
 
     # ------------------------------------------------------------------
     # broadcasts

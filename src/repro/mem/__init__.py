@@ -6,11 +6,14 @@ The paper's machine (Table II) has two memory controllers, each with a
 :mod:`repro.core.recovery_table`; the controller here accepts it as a
 pluggable flush handler so this substrate stays independent of the paper's
 contribution).
+
+Each controller's ``adr_value`` is the one record of which write is
+durable; the WPQ and the NVM device model occupancy and timing only.
 """
 
 from repro.mem.interleave import AddressMap
 from repro.mem.nvm import NVMDevice, XPBuffer
-from repro.mem.wpq import WritePendingQueue, WPQEntry
+from repro.mem.wpq import WritePendingQueue
 from repro.mem.controller import (
     FlushPacket,
     FlushResponse,
@@ -25,7 +28,6 @@ __all__ = [
     "MemoryController",
     "NVMDevice",
     "ResponseKind",
-    "WPQEntry",
     "WritePendingQueue",
     "XPBuffer",
 ]

@@ -18,9 +18,10 @@ Early flush arrives    Create undo record,           Create delay record
 =====================  ============================  =========================
 
 Durability boundary: a write is durable once accepted into the WPQ (ADR).
-The controller tracks ``adr_value`` -- the newest durable write id per line
--- which is what an undo record must capture as the "safe value" and what a
-crash drain writes to the media.
+``adr_value`` -- the newest durable write id per line -- is the one record
+of it: it is what an undo record captures as the "safe value" and what a
+crash image starts from (:func:`repro.core.crash.crash_image`).  The WPQ
+and the NVM device behind it model occupancy and timing only.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class RecoveryTableProtocol(Protocol):
         ...
 
     def undo_records(self) -> List[Tuple[int, int]]:
-        """(line, safe_value) pairs -- the crash-drain payload."""
+        """(line, safe_value) pairs -- written over ``adr_value`` in a
+        crash image."""
         ...
 
 
@@ -168,7 +170,8 @@ class MemoryController:
             engine, config.wpq_entries, stats, self.scope, mc=index,
             tracer=tracer,
         )
-        #: newest durable (ADR-domain) write id per line; set only by
+        #: newest durable (ADR-domain) write id per line -- the only
+        #: record of which write is durable; set only by
         #: :meth:`push_durable`.
         self.adr_value: Dict[int, int] = {}
         #: crash journal (:func:`repro.core.crash.record_run`) or None;
@@ -187,14 +190,15 @@ class MemoryController:
         self._write_bytes_counter = None
 
     # ------------------------------------------------------------------
-    # value plane
+    # the persistence domain
     # ------------------------------------------------------------------
 
     def push_durable(self, line: int, write_id: int) -> bool:
-        """Push a write into the WPQ, where ADR makes it durable.
+        """Push a write into the WPQ, where ADR makes it durable, and
+        record it in ``adr_value``.
 
         False when the WPQ is full: the caller waits for space."""
-        if not self.wpq.push(line, write_id):
+        if not self.wpq.push(line):
             return False
         self.adr_value[line] = write_id
         if self.journal is not None:
@@ -204,10 +208,9 @@ class MemoryController:
         return True
 
     def durable_value(self, line: int) -> int:
-        """Newest write id for ``line`` inside the persistence domain."""
-        if line in self.adr_value:
-            return self.adr_value[line]
-        return self.nvm.peek(line)
+        """Newest write id for ``line`` inside the persistence domain;
+        0 = pristine."""
+        return self.adr_value.get(line, 0)
 
     # ------------------------------------------------------------------
     # packet arrival
@@ -274,7 +277,7 @@ class MemoryController:
             # instead would lose the value when the epoch's own commit
             # deletes the record.)
             self.stats.inc("same_epoch_recoalesce", scope=self.scope)
-            self._admit_to_wpq(packet)
+            self.admit(packet, self._done_processing)
             return
         if packet.early:
             if rt is None:
@@ -308,7 +311,7 @@ class MemoryController:
                     # commit message that *does* promise durability always
                     # trails the read by multiple round trips.
                     self.nvm.read_latency(packet.line)
-                    self._admit_to_wpq(packet)
+                    self.admit(packet, self._done_processing)
                     return
                 else:
                     self._nack(packet)
@@ -322,40 +325,36 @@ class MemoryController:
                 self._ack(packet)
             else:
                 # Table I, case 1: the normal durable write.
-                self._admit_to_wpq(packet)
+                self.admit(packet, self._done_processing)
                 return
         self._done_processing()
 
-    def _admit_to_wpq(self, packet: FlushPacket, ack_delay: int = 0) -> None:
-        """Place the write into the WPQ, waiting for space if needed.
+    def admit(self, packet: FlushPacket, then: Callable[[], None]) -> None:
+        """Admit ``packet``'s write to the WPQ once it has room, ACK it,
+        start its drain, then run ``then``.
 
-        Admission blocks the controller's input pipeline while the WPQ is
-        full -- this is the back-pressure path that ultimately stalls
-        persist buffers when the device cannot keep up.  ``ack_delay``
-        postpones only the response (undo-record read latency).
+        The one admission path: the input pipeline passes
+        :meth:`_done_processing`, so it stays blocked while the WPQ is
+        full -- the back-pressure that ultimately stalls persist buffers
+        when the device cannot keep up; Vorpal's ordering queue passes
+        the write's exit from the queue.
         """
-        if self.push_durable(packet.line, packet.write_id):
-            counter = self._admitted_counter
-            if counter is None:
-                counter = self._admitted_counter = self.stats.counter(
-                    "flushes_admitted", scope=self.scope
-                )
-            counter.inc()
-            self._finish_bloom(packet.line)
-            self._ack(packet, ack_delay)
-            self._pump_drain()
-            self._done_processing()
-        else:
-            self.wpq.space_waiter.wait(
-                lambda: self._admit_to_wpq(packet, ack_delay)
+        if not self.push_durable(packet.line, packet.write_id):
+            self.wpq.space_waiter.wait(lambda: self.admit(packet, then))
+            return
+        counter = self._admitted_counter
+        if counter is None:
+            counter = self._admitted_counter = self.stats.counter(
+                "flushes_admitted", scope=self.scope
             )
+        counter.inc()
+        self._finish_bloom(packet.line)
+        self._ack(packet)
+        self._pump_drain()
+        then()
 
-    def _ack(self, packet: FlushPacket, delay: int = 0) -> None:
-        response = FlushResponse(packet=packet, kind=ResponseKind.ACK)
-        if delay > 0:
-            self.engine.schedule(delay, lambda: self.respond(response))
-        else:
-            self.respond(response)
+    def _ack(self, packet: FlushPacket) -> None:
+        self.respond(FlushResponse(packet=packet, kind=ResponseKind.ACK))
 
     def _nack(self, packet: FlushPacket) -> None:
         self.stats.inc("flushes_nacked", scope=self.scope)
@@ -420,8 +419,7 @@ class MemoryController:
             self._drains_outstanding < self.config.nvm.write_parallelism
             and len(self.wpq) > 0
         ):
-            entry = self.wpq.pop_head()
-            assert entry is not None
+            line = self.wpq.pop_head()
             self._drains_outstanding += 1
             counter = self._write_bytes_counter
             if counter is None:
@@ -429,33 +427,11 @@ class MemoryController:
                     "pm_write_bytes", scope=self.scope
                 )
             counter.inc(CACHE_LINE_BYTES)
-            self.nvm.write(entry.line, entry.write_id, self._drain_done)
+            self.nvm.write(line, self._drain_done)
 
     def _drain_done(self) -> None:
         self._drains_outstanding -= 1
         self._pump_drain()
-
-    # ------------------------------------------------------------------
-    # crash path (Section V-E)
-    # ------------------------------------------------------------------
-
-    def crash_drain(self) -> Dict[int, int]:
-        """Model the ADR power-fail sequence; return the post-crash media.
-
-        1. Everything in the persistence domain reaches the media.
-           ``adr_value`` summarizes it: a line reaches the media only out
-           of the WPQ, and ``adr_value`` took that write or a newer one
-           when it entered, so the media itself adds nothing.
-        2. Undo-record values are written on top, unwinding speculation.
-        3. Delay records are discarded (their epochs never committed).
-
-        This is one controller's share of
-        :func:`repro.core.crash.crash_image`.
-        """
-        media = dict(self.adr_value)
-        if self.recovery_table is not None:
-            media.update(self.recovery_table.undo_records())
-        return media
 
 
 __all__ = [

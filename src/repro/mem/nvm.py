@@ -1,10 +1,9 @@
-"""The non-volatile memory device model.
+"""The non-volatile memory device model: timing only.
 
-Values are modelled as opaque *write ids*: every store in a run gets a
-globally unique, monotonically increasing id, and the device stores the id
-of the newest write that has reached the media for each cache line.  This
-lets the crash-consistency checker reason precisely about *which* write
-survived without simulating data bytes.
+The device holds no values.  A write is durable once its controller's
+WPQ accepts it (ADR), so which write survives a crash is decided by the
+controller's ``adr_value`` record, never by what reached the media
+(:func:`repro.core.crash.crash_image`).
 
 Timing follows the Optane characterization the paper uses (Yang et al.,
 FAST '20): long read latency (175 ns), lower write latency at the buffer
@@ -18,7 +17,7 @@ cheap.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Callable
 
 from repro.sim.engine import Engine, ns_to_cycles
 from repro.sim.config import NVMConfig
@@ -39,8 +38,6 @@ class XPBuffer:
     def __init__(self, capacity_lines: int) -> None:
         self.capacity = max(1, capacity_lines)
         self._blocks: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def block_of(line: int) -> int:
@@ -51,12 +48,10 @@ class XPBuffer:
         block = self.block_of(line)
         if block in self._blocks:
             self._blocks.move_to_end(block)
-            self.hits += 1
             return True
         self._blocks[block] = None
         if len(self._blocks) > self.capacity:
             self._blocks.popitem(last=False)
-        self.misses += 1
         return False
 
     def __contains__(self, line: int) -> bool:
@@ -66,8 +61,7 @@ class XPBuffer:
 class NVMDevice:
     """One persistent-memory device (one per memory controller).
 
-    ``media`` is the durable array: line address -> newest write id on the
-    media.  The device starts every write it is given at once; the limited
+    The device starts every write it is given at once; the limited
     write bandwidth is enforced by the controller's WPQ drain, which keeps
     at most ``write_parallelism`` media writes in flight
     (:meth:`repro.mem.controller.MemoryController._pump_drain`).
@@ -84,7 +78,6 @@ class NVMDevice:
         self.config = config
         self.stats = stats
         self.scope = scope
-        self.media: Dict[int, int] = {}
         self.xpbuffer = XPBuffer(config.xpbuffer_lines)
         self._read_cycles = ns_to_cycles(config.read_latency_ns)
         self._write_cycles = ns_to_cycles(config.write_latency_ns)
@@ -96,14 +89,6 @@ class NVMDevice:
         self._writes_counter = None
         self._read_hits_counter = None
         self._reads_counter = None
-
-    # -- value plane --------------------------------------------------------
-
-    def peek(self, line: int) -> int:
-        """Durable value (write id) currently on the media; 0 = pristine."""
-        return self.media.get(line, 0)
-
-    # -- timing plane --------------------------------------------------------
 
     def read_latency(self, line: int) -> int:
         """Cycles to read ``line`` right now (XPBuffer-aware).
@@ -130,14 +115,9 @@ class NVMDevice:
         counter.inc()
         return self._read_cycles
 
-    def write(
-        self, line: int, write_id: int, on_done: Optional[Callable[[], None]] = None
-    ) -> None:
-        """Issue a media write; calls ``on_done`` when it completes.
-
-        The value plane is updated when the write *completes* so that
-        ``peek`` always reflects the durable media contents.
-        """
+    def write(self, line: int, on_done: Callable[[], None]) -> None:
+        """Start a media write of ``line``; ``on_done`` runs when it
+        completes (XPBuffer-aware latency)."""
         counter = self._writes_counter
         if counter is None:
             counter = self._writes_counter = self.stats.counter(
@@ -148,13 +128,7 @@ class NVMDevice:
             latency = self._buffered_write_cycles
         else:
             latency = self._write_cycles
-
-        def finish() -> None:
-            self.media[line] = write_id
-            if on_done is not None:
-                on_done()
-
-        self.engine.schedule(latency, finish)
+        self.engine.schedule(latency, on_done)
 
 
 __all__ = ["NVMDevice", "XPBuffer", "XPLINE_BYTES"]

@@ -115,7 +115,7 @@ class Engine:
         # Local aliases keep the per-event overhead to a handful of
         # LOAD_FASTs; this loop executes tens of millions of times.  The
         # run-to-completion case (until=None) gets its own loop without
-        # the queue peek and bound comparison.
+        # the queue-head check and bound comparison.
         queue = self._queue
         heappop = heapq.heappop
         executed = self._events_executed

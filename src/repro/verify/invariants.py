@@ -17,8 +17,7 @@ Checked invariants:
 - recovery tables never exceed capacity, and no record belongs to an
   epoch its owner's epoch table has already committed (commit messages
   must have cleaned them first);
-- WPQs never exceed capacity, and every line's ADR value is at least as
-  new as its media value (the persistence domain never travels backwards).
+- WPQs never exceed capacity.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Early flush arrives    Create undo record,           Create delay record
 
 import pytest
 
-from repro.sim.config import MachineConfig, NVMConfig
+from repro.sim.config import HardwareModel, MachineConfig, NVMConfig
 from repro.sim.engine import ns_to_cycles
 from repro.mem.controller import (
     CommitMessage,
@@ -19,6 +19,8 @@ from repro.mem.controller import (
     MemoryController,
     ResponseKind,
 )
+from repro.core.crash import crash_image
+from repro.core.epoch import EpochLog
 from repro.core.recovery_table import RecoveryTable
 
 
@@ -49,13 +51,22 @@ def flush(line, write_id, early, core=0, ts=1):
     )
 
 
+def crash(mc):
+    """The media after a power failure now: ``mc``'s share of the crash
+    image (its ``adr_value`` with its undo values on top)."""
+    rt = mc.recovery_table
+    undo = rt.undo_records() if rt is not None else ()
+    return crash_image(HardwareModel.ASAP, EpochLog(), [(mc.adr_value, undo)])
+
+
 class TestTableI:
-    def test_case1_safe_flush_updates_memory(self, engine, mc):
+    def test_case1_safe_flush_updates_memory(self, engine, mc, stats):
         mc.receive_flush(flush(0, 10, early=False))
         engine.run()
         assert mc.durable_value(0) == 10
         assert mc.responses[0].kind is ResponseKind.ACK
-        assert mc.nvm.peek(0) == 10  # drained to media
+        # drained to media
+        assert len(mc.wpq) == 0 and stats.get("pm_writes", scope="mc0") == 1
 
     def test_case2_safe_flush_with_undo_folds_into_record(self, engine, mc):
         # Early flush first: creates undo (safe value 0), memory = 20.
@@ -106,11 +117,11 @@ class TestTableI:
         assert mc.durable_value(0) == 44
         assert mc.recovery_table.undo_for(0).safe_value == 0  # pre-epoch
         # Crash now: the whole epoch rolls back.
-        assert mc.crash_drain()[0] == 0
+        assert crash(mc)[0] == 0
         # Commit: the newest value is durable.
         mc.receive_commit(CommitMessage(core=0, epoch_ts=20))
         engine.run()
-        assert mc.crash_drain()[0] == 44
+        assert crash(mc)[0] == 44
 
     def test_early_flush_without_rt_is_wiring_bug(self, engine, plain_mc):
         plain_mc.receive_flush(flush(0, 1, early=True))
@@ -186,29 +197,29 @@ class TestCommit:
         engine.run()
         assert mc.recovery_table.undo_for(0).safe_value == 15
         # Crash now would restore A=15; commit of (1,3) makes A=20 final.
-        assert mc.crash_drain()[0] == 15
+        assert crash(mc)[0] == 15
         mc.receive_commit(CommitMessage(core=1, epoch_ts=3))
         engine.run()
-        assert mc.crash_drain()[0] == 20
+        assert crash(mc)[0] == 20
 
 
 class TestCrashDrain:
     def test_pristine_controller_drains_clean(self, mc):
-        assert mc.crash_drain() == {}
+        assert crash(mc) == {}
 
     def test_undo_values_override_speculative_state(self, engine, mc):
         mc.receive_flush(flush(0, 10, early=False, ts=1))
         engine.run()
         mc.receive_flush(flush(0, 99, early=True, ts=2))
         engine.run()
-        media = mc.crash_drain()
+        media = crash(mc)
         assert media[0] == 10  # speculation unwound
 
     def test_wpq_contents_are_durable(self, engine, plain_mc):
         plain_mc.receive_flush(flush(0, 7, early=False))
         # Run only far enough for admission, not media drain.
         engine.run(until=engine.now + 10)
-        assert plain_mc.crash_drain()[0] == 7
+        assert crash(plain_mc)[0] == 7
 
 
 class TestWriteBandwidth:
@@ -219,24 +230,31 @@ class TestWriteBandwidth:
 
     @staticmethod
     def landing_cycles(engine, stats, write_parallelism):
-        """Cycle at which each of three safe flushes reaches the media."""
+        """Cycle at which each of three safe flushes reaches the media:
+        when the drain completion the controller hands the device runs."""
         config = MachineConfig(
             num_cores=2,
             nvm=NVMConfig(write_parallelism=write_parallelism,
                           xpbuffer_lines=1),
         )
         controller = MemoryController(engine, config, stats, index=0)
+        landed = {}
+        device_write = controller.nvm.write
+
+        def timed_write(line, on_done):
+            def done():
+                landed[line] = engine.now
+                on_done()
+
+            device_write(line, done)
+
+        controller.nvm.write = timed_write
         # Distinct 4 KB blocks, so no media write hits the XPBuffer.
         lines = [i * 4096 for i in range(3)]
         for write_id, line in enumerate(lines, start=1):
             controller.receive_flush(flush(line, write_id, early=False))
-        landed = {}
-        while len(landed) < len(lines):
-            assert engine.pending(), "a flush never reached the media"
-            engine.run(until=engine.now + 1)
-            for write_id, line in enumerate(lines, start=1):
-                if line not in landed and controller.nvm.peek(line) == write_id:
-                    landed[line] = engine.now
+        engine.run()
+        assert sorted(landed) == lines, "a flush never reached the media"
         return [landed[line] for line in lines]
 
     def test_one_write_in_flight_serializes_the_media(self, engine, stats):

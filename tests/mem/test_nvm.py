@@ -47,17 +47,6 @@ class TestXPBuffer:
         assert 256 not in buf
 
 
-class TestValuePlane:
-    def test_pristine_line_reads_zero(self, device):
-        assert device.peek(0x1000) == 0
-
-    def test_write_lands_after_latency(self, engine, device):
-        device.write(0x1000, 7)
-        assert device.peek(0x1000) == 0  # not yet durable
-        engine.run()
-        assert device.peek(0x1000) == 7
-
-
 class TestTiming:
     def test_cold_read_costs_media_latency(self, device):
         assert device.read_latency(0x9000) == ns_to_cycles(175.0)
@@ -69,7 +58,7 @@ class TestTiming:
 
     def test_write_completion_callback(self, engine, device):
         done = []
-        device.write(0, 1, lambda: done.append(engine.now))
+        device.write(0, lambda: done.append(engine.now))
         engine.run()
         assert len(done) == 1
         assert done[0] >= ns_to_cycles(90.0) // 4  # at least buffered latency
@@ -79,13 +68,13 @@ class TestTiming:
         device = NVMDevice(engine, config, stats, scope="mc0")
         finish_times = []
         for i in range(4):
-            device.write(i * 4096, i + 1, lambda: finish_times.append(engine.now))
+            device.write(i * 4096, lambda: finish_times.append(engine.now))
         engine.run()
         # All four run concurrently: they all finish at the same cycle.
         assert max(finish_times) == min(finish_times)
 
     def test_stats_counted(self, engine, device, stats):
-        device.write(0, 1)
+        device.write(0, lambda: None)
         device.read_latency(4096)  # cold block: a real media read
         device.read_latency(4096)  # warm: served by the XPBuffer
         engine.run()

@@ -7,7 +7,7 @@ Three invariants the campaign silently relies on:
    serialized states.  Without this, result caching and failure
    minimization (which re-simulate) would be unsound.
 2. **The undo overlay only rewinds** -- the post-crash media image never
-   runs *ahead* of the ADR image (WPQ drain + in-flight writes): for
+   runs *ahead* of the ADR image (the controllers' ``adr_value``): for
    every line, the surviving write with undo records applied appears at
    the same or an earlier position in that line's persist order than
    without them.  Undo records unwind speculation; they must never
@@ -77,24 +77,24 @@ def test_crash_machine_is_deterministic(workload, model, crash_cycle):
 def test_undo_overlay_never_advances_the_media(workload, model, crash_cycle):
     machine = _stopped_machine(workload, model, crash_cycle)
     order = machine.log.line_order
+    with_undo = crash_machine(machine).media
+    without_undo = {}
     for mc in machine.mcs:
-        with_undo = mc.crash_drain()
-        without_undo = dict(mc.nvm.media)
         without_undo.update(mc.adr_value)
-        assert set(with_undo) >= {
-            line for line, wid in without_undo.items() if wid
-        }
-        for line, survivor in with_undo.items():
-            baseline_wid = without_undo.get(line, 0)
-            if survivor == baseline_wid:
-                continue
-            line_writes = order.get(line, [])
-            # a divergent survivor must be a rewind: same line, strictly
-            # earlier in the persist order than the ADR image's write.
-            if survivor and baseline_wid:
-                assert line_writes.index(survivor) < line_writes.index(
-                    baseline_wid
-                ), f"undo overlay advanced line {line:#x}"
+    assert set(with_undo) >= {
+        line for line, wid in without_undo.items() if wid
+    }
+    for line, survivor in with_undo.items():
+        baseline_wid = without_undo.get(line, 0)
+        if survivor == baseline_wid:
+            continue
+        line_writes = order.get(line, [])
+        # a divergent survivor must be a rewind: same line, strictly
+        # earlier in the persist order than the ADR image's write.
+        if survivor and baseline_wid:
+            assert line_writes.index(survivor) < line_writes.index(
+                baseline_wid
+            ), f"undo overlay advanced line {line:#x}"
 
 
 @settings(max_examples=10, deadline=None)

@@ -45,44 +45,29 @@ class TestBloomProperties:
 
 
 class TestWPQProperties:
-    @given(st.lists(st.tuples(lines, st.integers(1, 1000)), max_size=60))
+    @given(st.lists(lines, max_size=60))
     @settings(max_examples=50)
-    def test_newest_value_per_line_wins(self, writes):
+    def test_drain_yields_each_line_once_in_first_push_order(self, pushed):
         engine = Engine()
         stats = StatsRegistry()
         wpq = WritePendingQueue(engine, capacity=64, stats=stats, scope="t")
-        expected = {}
-        for line, write_id in writes:
-            assert wpq.push(line, write_id)
-            expected[line] = write_id
-        assert wpq.snapshot() == expected
-
-    @given(st.lists(st.tuples(lines, st.integers(1, 1000)), max_size=60))
-    @settings(max_examples=50)
-    def test_drain_applies_in_fifo_yields_newest(self, writes):
-        engine = Engine()
-        stats = StatsRegistry()
-        wpq = WritePendingQueue(engine, capacity=64, stats=stats, scope="t")
-        expected = {}
-        for line, write_id in writes:
-            wpq.push(line, write_id)
-            expected[line] = write_id
-        media = {}
+        for line in pushed:
+            assert wpq.push(line)
+        drained = []
         while len(wpq):
-            entry = wpq.pop_head()
-            media[entry.line] = entry.write_id
-        assert media == expected
+            drained.append(wpq.pop_head())
+        assert drained == list(dict.fromkeys(pushed))
 
-    @given(st.lists(st.tuples(lines, st.integers(1, 1000)), max_size=200))
+    @given(st.lists(lines, max_size=200))
     @settings(max_examples=30)
-    def test_occupancy_never_exceeds_capacity(self, writes):
+    def test_occupancy_never_exceeds_capacity(self, pushed):
         engine = Engine()
         stats = StatsRegistry()
         wpq = WritePendingQueue(engine, capacity=8, stats=stats, scope="t")
-        for line, write_id in writes:
-            if not wpq.push(line, write_id):
+        for line in pushed:
+            if not wpq.push(line):
                 wpq.pop_head()
-                assert wpq.push(line, write_id)
+                assert wpq.push(line)
             assert len(wpq) <= 8
 
 
