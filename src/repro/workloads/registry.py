@@ -88,6 +88,12 @@ def workload_names() -> List[str]:
     return [cls.name for cls in SUITE]
 
 
+def resolvable_names() -> List[str]:
+    """Every name :func:`get_workload` resolves: the suite, the
+    microbenchmarks and the fixtures."""
+    return list(_BY_NAME)
+
+
 def get_workload(
     name: str, ops_per_thread: Optional[int] = None, seed: int = 7
 ) -> Workload:
@@ -106,5 +112,6 @@ __all__ = [
     "MICROBENCHES",
     "SUITE",
     "get_workload",
+    "resolvable_names",
     "workload_names",
 ]
