@@ -927,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="workload")
     p_crash.add_argument("--model", choices=_MODEL_CHOICE_NAMES,
                          default="asap_rp")
-    p_crash.add_argument("--at", type=int, required=True,
+    p_crash.add_argument("--at", type=non_negative_int, required=True,
                          help="crash cycle")
     common(p_crash)
     p_crash.set_defaults(func=cmd_crash)

@@ -51,6 +51,7 @@ from repro.coherence.cache import Cache, CacheHierarchy
 from repro.coherence.mesi import MESIDirectory, OwnerInfo
 from repro.coherence.wbb import WriteBackBuffer
 from repro.core.api import (
+    CAS,
     Acquire,
     Compute,
     DFence,
@@ -86,8 +87,9 @@ class _PauseSentinel:
     the pause is race-free where a precomputed executed-op target would
     not be -- the wrapper's dynamic lock deferral can legally shift
     window edges after such a target was computed.  A pause does not
-    count as a retired op.  :meth:`Machine.continue_to_pause` resumes
-    the core after the op that preceded the sentinel."""
+    count as a retired op.  The engine stops once every core is parked
+    or finished; :meth:`Machine.continue_to_pause` resumes the core
+    after the op that preceded the sentinel."""
 
     __slots__ = ()
 
@@ -97,26 +99,6 @@ class _PauseSentinel:
 
 PAUSE = _PauseSentinel()
 
-
-class _YieldTurnSentinel:
-    """Singleton a program may yield to round-robin with other cores.
-
-    Costs :attr:`Machine.yield_turn_cycles` cycles (default zero) and no
-    retired op: the core's advance is re-scheduled, behind whatever the
-    other cores
-    have queued.  The sampling pipeline's skip-wrappers yield it between
-    warming chunks so that functional fast-forward interleaves across
-    cores -- warming a core's whole gap in one synchronous burst skews
-    MESI ownership of write-shared lines toward whichever core warmed
-    last, which the measured windows then pay for as spurious misses."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "YIELD_TURN"
-
-
-YIELD_TURN = _YieldTurnSentinel()
 
 #: Fixed issue cost of a store (latency is hidden by the OoO core; what
 #: is *not* hidden -- persist-buffer back-pressure -- is modelled).
@@ -131,19 +113,6 @@ class _Lock:
     waiters: List["_CoreUnit"] = field(default_factory=list)
     #: (core, epoch ts) of the most recent release, for dependence checks.
     last_release: Optional[EpochId] = None
-
-
-#: memoized ``type(op).__name__.lower()`` (traced path only).
-_OP_KINDS: Dict[type, str] = {}
-
-
-def _op_kind(op: Op) -> str:
-    cls = type(op)
-    kind = _OP_KINDS.get(cls)
-    if kind is None:
-        kind = cls.__name__.lower()
-        _OP_KINDS[cls] = kind
-    return kind
 
 
 class _CoreUnit:
@@ -186,17 +155,12 @@ class _CoreUnit:
         if op is PAUSE:
             self.machine._park(self)
             return
-        if op is YIELD_TURN:
-            self.machine.engine.schedule(
-                self.machine.yield_turn_cycles, self.advance
-            )
-            return
         self.ops_executed += 1
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
                 EventType.OP_RETIRED, "core", core=self.index,
-                kind=_op_kind(op),
+                kind=self.machine._op_names.get(type(op)),
             )
         self._dispatch(self, op)
 
@@ -274,16 +238,6 @@ class Machine:
         #: indices of parked cores, in parking order -- resuming them in
         #: this order keeps a paused run deterministic.
         self._parked_order: List[int] = []
-        #: cycles charged per :data:`YIELD_TURN` (default free).  The
-        #: sampling pipeline sets this nonzero so that warmed gaps
-        #: advance simulated time: events carried over from the previous
-        #: measured window (epoch commits, persist-buffer flush timers)
-        #: then fire mid-gap instead of being frozen until the next
-        #: window and polluting its deltas with phantom stalls.
-        self.yield_turn_cycles = 0
-        #: pause mode: stop the engine (without draining) the moment
-        #: every core is parked or finished.
-        self._halt_when_parked = False
 
         hardware = self.run_config.hardware
         self.vorpal = (
@@ -299,10 +253,11 @@ class Machine:
         self._build_controllers(hardware)
         self._build_paths(hardware)
         self._build_caches()
-        #: concrete op type -> handler; insertion order mirrors the old
-        #: isinstance chain (see :meth:`dispatch`).
+        #: exact op type -> handler (see :meth:`dispatch`); a CAS times
+        #: exactly like the store it performs.
         self._op_handlers: Dict[type, Callable[[_CoreUnit, Op], None]] = {
             Store: self._do_store,
+            CAS: self._do_store,
             Load: self._do_load,
             Compute: self._do_compute,
             OFence: self._do_ofence,
@@ -310,6 +265,10 @@ class Machine:
             Acquire: self._do_acquire,
             Release: self._do_release,
             NewStrand: self._do_new_strand,
+        }
+        #: op type -> the ``kind`` its OP_RETIRED event reports.
+        self._op_names: Dict[type, str] = {
+            cls: cls.__name__.lower() for cls in self._op_handlers
         }
         self.cores: List[_CoreUnit] = []
 
@@ -611,20 +570,12 @@ class Machine:
     # ------------------------------------------------------------------
 
     def dispatch(self, core: _CoreUnit, op: Op) -> None:
-        # Dict-dispatch on the concrete op type replaces the old isinstance
-        # chain (one hash lookup instead of up to eight type checks).  Op
-        # subclasses fall back to the isinstance walk once, then get their
-        # own cache slot; insertion order of _op_handlers preserves the
-        # original chain's precedence for that walk.
-        handlers = self._op_handlers
-        handler = handlers.get(type(op))
-        if handler is None:
-            for base, candidate in list(handlers.items()):
-                if isinstance(op, base):
-                    handler = handlers[type(op)] = candidate
-                    break
-            else:
-                raise TypeError(f"unknown op: {op!r}")
+        """Run the handler of ``op``'s exact type; a type without an
+        entry, an op subclass included, is a ``TypeError``."""
+        try:
+            handler = self._op_handlers[type(op)]
+        except KeyError:
+            raise TypeError(f"unknown op: {op!r}") from None
         handler(core, op)
 
     def _do_compute(self, core: _CoreUnit, op: Compute) -> None:
@@ -827,7 +778,6 @@ class Machine:
 
     def continue_run(self) -> RunResult:
         """Resume parked cores and run to completion."""
-        self._halt_when_parked = False
         self._resume_cores()
         self.engine.run(max_events=self.run_config.max_events)
         return self._finish_result()
@@ -841,14 +791,11 @@ class Machine:
         boundary exactly as it would mid-run; draining here would empty
         the persist buffers the warm-up just filled and charge a
         drain's worth of cycles into every measured window."""
-        self._halt_when_parked = True
         self.start(programs)
-        self.engine.run(max_events=self.run_config.max_events)
-        self._check_paused()
+        self.continue_to_pause()
 
     def continue_to_pause(self) -> None:
         """Resume parked cores and run to the next pause round."""
-        self._halt_when_parked = True
         self._resume_cores()
         self.engine.run(max_events=self.run_config.max_events)
         self._check_paused()
@@ -887,9 +834,7 @@ class Machine:
         core.parked = True
         core.park_time = self.engine.now
         self._parked_order.append(core.index)
-        if self._halt_when_parked and all(
-            c.parked or c.finished for c in self.cores
-        ):
+        if all(c.parked or c.finished for c in self.cores):
             self.engine.stop()
 
     def _resume_cores(self) -> None:

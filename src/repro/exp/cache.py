@@ -32,6 +32,23 @@ if TYPE_CHECKING:
     from repro.exp.spec import Spec
 
 
+def atomic_write(path: pathlib.Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``: a reader sees the old file or the whole
+    new one, and a killed writer leaves at worst a ``.tmp-*`` orphan."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Content-addressed store of completed experiment cells."""
 
@@ -82,27 +99,12 @@ class ResultCache:
 
     def put(self, spec: Spec, result: Any) -> None:
         key = spec.key()
-        self._atomic_write(
-            self._result_path(key), pickle.dumps(result, protocol=4)
-        )
+        atomic_write(self._result_path(key), pickle.dumps(result, protocol=4))
         meta = dict(spec.describe(), label=spec.label())
-        self._atomic_write(
+        atomic_write(
             self._meta_path(key),
             json.dumps(meta, sort_keys=True, indent=2).encode("utf-8"),
         )
-
-    def _atomic_write(self, path: pathlib.Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def clear(self) -> int:
         """Drop every entry; returns the number of results removed."""
@@ -115,4 +117,4 @@ class ResultCache:
         return removed
 
 
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "atomic_write"]

@@ -36,6 +36,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, List, Optional, Union
 
+from repro.exp.cache import atomic_write
 from repro.fabric.tasks import TaskEnvelope, TaskOutcome
 
 
@@ -88,7 +89,7 @@ class FabricQueue:
         path = self._task_path(env.task_id)
         if path.exists():
             return
-        self._atomic_write(path, pickle.dumps(env, protocol=4))
+        atomic_write(path, pickle.dumps(env, protocol=4))
 
     def read_task(self, task_id: str) -> Optional[TaskEnvelope]:
         return self._read_pickle(self._task_path(task_id))
@@ -168,7 +169,7 @@ class FabricQueue:
     # -- results ------------------------------------------------------------
 
     def write_result(self, outcome: TaskOutcome) -> None:
-        self._atomic_write(
+        atomic_write(
             self._result_path(outcome.task_id),
             pickle.dumps(outcome, protocol=4),
         )
@@ -190,7 +191,7 @@ class FabricQueue:
     def stop(self) -> None:
         """Ask every worker polling this queue to drain and exit."""
         if not self.stop_path.exists():
-            self._atomic_write(self.stop_path, b"stop\n")
+            atomic_write(self.stop_path, b"stop\n")
 
     def stopped(self) -> bool:
         return self.stop_path.exists()
@@ -217,19 +218,6 @@ class FabricQueue:
             # evict so the producer side runs (or re-runs) the task.
             path.unlink(missing_ok=True)
             return None
-
-    def _atomic_write(self, path: pathlib.Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 def _ids(directory: pathlib.Path, suffix: str) -> List[str]:

@@ -29,6 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.api import (
     Acquire,
+    Compute,
     Load,
     Op,
     PMAllocator,
@@ -36,7 +37,7 @@ from repro.core.api import (
     Release,
     Store,
 )
-from repro.core.machine import PAUSE, YIELD_TURN, Machine
+from repro.core.machine import PAUSE, Machine
 from repro.core.models import resolve_model
 from repro.sample.fingerprint import fingerprint_intervals
 from repro.sample.phases import cluster_intervals
@@ -215,6 +216,7 @@ def _sampled_program(
     boundaries: List[int],
     warm,
     end_gap,
+    warm_turns: List[int],
 ) -> Iterator[object]:
     """Yield only ops whose per-thread index falls in ``segments``;
     fast-forward the underlying generator through the gaps (warming the
@@ -231,11 +233,15 @@ def _sampled_program(
 
     Every thread yields exactly ``len(boundaries)`` pauses -- trailing
     ones fire even if the generator is exhausted -- so pause rounds
-    stay aligned across cores.  Warming yields :data:`YIELD_TURN` every
-    ``_WARM_CHUNK`` skipped ops so gap warming interleaves across cores
-    instead of running each core's whole gap in one synchronous burst
-    (which would skew shared-line MESI ownership toward the core that
-    warmed last)."""
+    stay aligned across cores.  Every ``_WARM_CHUNK`` skipped ops,
+    warming yields :data:`_WARM_TURN`, a ``Compute`` of one nominal
+    cycle per warmed op: the other cores run meanwhile, so warming
+    interleaves across cores instead of running each core's whole gap
+    in one burst (which would skew shared-line MESI ownership toward
+    the core that warmed last), and cycle-driven background machinery
+    -- persist-buffer flush issue, epoch commits -- keeps running
+    through the gap.  A warm turn retires as an op but simulates none,
+    so each one is counted in ``warm_turns[0]``."""
     position = 0
     depth = 0
     k = 0
@@ -272,7 +278,8 @@ def _sampled_program(
             chunk += 1
             if chunk >= _WARM_CHUNK:
                 chunk = 0
-                yield YIELD_TURN
+                warm_turns[0] += 1
+                yield _WARM_TURN
     while k < npause:
         k += 1
         yield PAUSE
@@ -281,9 +288,12 @@ def _sampled_program(
 #: open-ended window sentinel (the tail runs to the end of the stream).
 _NO_END = 1 << 62
 
-#: skipped ops warmed between YIELD_TURNs (the cross-core interleaving
+#: skipped ops warmed between warm turns (the cross-core interleaving
 #: granularity of functional warming).
 _WARM_CHUNK = 8
+
+#: the op a skip-wrapper yields after every ``_WARM_CHUNK`` warmed ops.
+_WARM_TURN = Compute(_WARM_CHUNK)
 
 
 def _merge_segments(
@@ -357,13 +367,11 @@ def run_sampled(
         workload, ops_per_thread=ops_per_thread, seed=seed
     ).programs(PMAllocator(), num_threads)
     machine = Machine(mcfg, run_config=spec.run_config(seed=seed))
-    # Gaps advance simulated time at a nominal 1 cycle per warmed op
-    # (one YIELD_TURN per _WARM_CHUNK warmed ops) so cycle-driven
-    # background machinery -- persist-buffer flush issue, epoch
-    # commits -- is not frozen while the op stream fast-forwards.
-    machine.yield_turn_cycles = _WARM_CHUNK
+    warm_turns = [0]
     wrapped = [
-        _sampled_program(p, segments, boundaries, *_make_warmer(machine, t))
+        _sampled_program(
+            p, segments, boundaries, *_make_warmer(machine, t), warm_turns
+        )
         for t, p in enumerate(programs)
     ]
 
@@ -414,7 +422,9 @@ def run_sampled(
             value=value, margin=min(1.0, 0.25 * margin)
         )
 
-    ops_simulated = sum(core.ops_executed for core in machine.cores)
+    ops_simulated = (
+        sum(core.ops_executed for core in machine.cores) - warm_turns[0]
+    )
     return SampleReport(
         workload=workload,
         model=spec.name,

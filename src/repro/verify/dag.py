@@ -72,21 +72,12 @@ class EpochDag:
         return seen
 
     def is_acyclic(self) -> bool:
-        """Kahn's algorithm over the whole graph."""
-        indegree: Dict[EpochId, int] = {node: 0 for node in self.nodes}
-        for node, succs in self.successors.items():
-            for succ in succs:
-                indegree[succ] = indegree.get(succ, 0) + 1
-        ready = deque(n for n, d in indegree.items() if d == 0)
-        visited = 0
-        while ready:
-            node = ready.popleft()
-            visited += 1
-            for succ in self.successors.get(node, ()):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        return visited == len(indegree)
+        """Whether :meth:`topological_order` exists."""
+        try:
+            self.topological_order()
+        except ValueError:
+            return False
+        return True
 
     def topological_order(self) -> List[EpochId]:
         """A topological order; raises ValueError on a cycle.

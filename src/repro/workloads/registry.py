@@ -1,6 +1,6 @@
 """The canonical workload suite (Table III).
 
-Every figure in the evaluation runs over ``SUITE`` -- the same fourteen
+Every figure in the evaluation runs over ``SUITE`` -- the same fifteen
 workloads the paper draws its bars from:
 
 =============  ===========================  ==========================

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.api import (
+    CAS,
     Acquire,
     Compute,
     DFence,
@@ -12,7 +13,9 @@ from repro.core.api import (
     Release,
     Store,
 )
-from repro.sim.config import HardwareModel, PersistencyModel
+from repro.core.machine import Machine
+from repro.core.models import MODEL_REGISTRY
+from repro.sim.config import HardwareModel, MachineConfig, PersistencyModel
 
 from tests.conftest import locked_pair, make_machine, simple_writer
 
@@ -65,6 +68,46 @@ class TestBasicExecution:
         machine = make_machine(num_cores=1)
         with pytest.raises(TypeError):
             machine.run([iter([object()])])
+
+
+def _publishing_run(model: str, publish):
+    """Two threads each build nodes and publish them into one shared
+    head under a lock; ``publish`` is the op type of the publishing
+    store."""
+    heap = PMAllocator()
+    lock = heap.alloc_lock()
+    head = heap.alloc(64)
+
+    def program(tid):
+        for i in range(4):
+            node = heap.alloc_lines(2)
+            yield Store(node, 128)
+            yield OFence()
+            yield Acquire(lock)
+            yield Load(head, 8)
+            yield publish(head, 8, payload=(tid, i))
+            yield Release(lock)
+            yield Compute(20)
+        yield DFence()
+
+    machine = Machine(
+        MachineConfig(num_cores=2), MODEL_REGISTRY[model].run_config()
+    )
+    return machine.run([program(0), program(1)])
+
+
+@pytest.mark.parametrize("model", list(MODEL_REGISTRY))
+def test_cas_runs_like_its_store_twin(model):
+    """A CAS is timed, counted and logged exactly like the store it
+    performs, on every design."""
+    cas = _publishing_run(model, CAS)
+    store = _publishing_run(model, Store)
+    assert cas.runtime_cycles == store.runtime_cycles
+    assert cas.drain_cycles == store.drain_cycles
+    assert cas.ops_executed == store.ops_executed
+    assert cas.stats.as_dict() == store.stats.as_dict()
+    assert cas.log.writes == store.log.writes
+    assert cas.log.payloads == store.log.payloads
 
 
 class TestOrderingCosts:

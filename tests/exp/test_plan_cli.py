@@ -154,14 +154,15 @@ class TestCLI:
              (["litmus", "--count", "-1"], "at least 0, got -1"),
              (["litmus", "--fabric", "--chaos-kill", "-1"],
               "at least 0, got -1"),
+             (["crash", "queue", "--at", "-5"], "at least 0, got -5"),
          )],
     )
     def test_unknown_workload_or_worker_count_is_a_usage_error(
         self, capsys, argv, message
     ):
         """The parser rejects an unknown workload name, a worker count
-        below 1 and a negative count before any command runs (exit 2, no
-        traceback from the registry or the executor)."""
+        below 1 and a negative count or crash cycle before any command
+        runs (exit 2, no traceback from the registry or the executor)."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
