@@ -49,7 +49,9 @@ from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: run pairs per workload; each pair runs the base and the change once.
-PAIRS = 5
+#: A claimed gain must win at least nine of ten alternating pairs, so
+#: ten is the floor.
+PAIRS = 10
 #: ``--seconds`` of each benchmark run.
 SECONDS = 5
 #: ``--seed`` of each benchmark run (the tier-1 seed).

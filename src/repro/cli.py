@@ -100,6 +100,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def port_number(text: str) -> int:
+    """The argparse type of ``serve --port``: a TCP port, 1 to 65535."""
+    value = int(text)
+    if not 1 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 1 to 65535, got {value}")
+    return value
+
+
 def _machine_config(args) -> MachineConfig:
     return MachineConfig(num_cores=args.threads, num_mcs=args.mcs)
 
@@ -470,20 +478,11 @@ def cmd_sample(args) -> int:
     from repro.analysis.report import render_table
     from repro.sample import SampleConfig, run_sampled, validate_sampled
 
-    try:
-        config = SampleConfig(
-            interval_ops=args.interval_ops,
-            clusters=args.clusters,
-            warmup_ops=args.warmup_ops,
-            tail_intervals=args.tail_intervals,
-        )
-    except ValueError as exc:
-        print(f"sample: {exc}", file=sys.stderr)
-        return 2
     runner = validate_sampled if args.validate else run_sampled
     report = runner(
         args.workload, args.model, ops_per_thread=args.ops,
-        num_threads=args.threads, seed=args.seed, config=config,
+        num_threads=args.threads, seed=args.seed,
+        config=SampleConfig(clusters=args.clusters),
         machine_config=_machine_config(args),
     )
 
@@ -556,6 +555,11 @@ def cmd_fabric(args) -> int:
         from repro.fabric import FabricQueue
 
         queue = FabricQueue(args.queue, create=False)
+        if not queue.root.is_dir():
+            # a mistyped path would otherwise read as an idle, empty queue
+            print(f"fabric status: no queue directory at {queue.root}",
+                  file=sys.stderr)
+            return 2
         doc = {
             "queue": str(queue.root),
             "tasks": len(queue.task_ids()),
@@ -832,18 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--validate", action="store_true",
                           help="also run the full simulation and report "
                           "per-metric relative error")
-    p_sample.add_argument("--interval-ops", type=int, default=75,
-                          metavar="N",
-                          help="ops per fingerprint interval (default: 75)")
-    p_sample.add_argument("--clusters", type=int, default=None, metavar="K",
+    p_sample.add_argument("--clusters", type=positive_int, default=None,
+                          metavar="K",
                           help="interior phase count (default: adaptive)")
-    p_sample.add_argument("--warmup-ops", type=int, default=25, metavar="N",
-                          help="fully-simulated warm-up ops before each "
-                          "representative (default: 25)")
-    p_sample.add_argument("--tail-intervals", type=int, default=3,
-                          metavar="N",
-                          help="trailing intervals simulated exactly "
-                          "(default: 3)")
     p_sample.add_argument("--out", metavar="PATH",
                           help="write the JSON sample report here")
     common(p_sample)
@@ -855,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-running HTTP experiment service over the fabric",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8642)
+    p_serve.add_argument("--port", type=port_number, default=8642)
     p_serve.add_argument("--jobs", type=positive_int, default=2, metavar="N",
                          help="fabric worker processes (default: 2)")
     p_serve.add_argument("--queue", metavar="DIR",

@@ -117,12 +117,6 @@ class EpochTable:
         entry = self.entries.get(ts)
         return entry.strand if entry is not None else None
 
-    def close_current(self) -> int:
-        """Alias of :meth:`open_epoch` returning the *closed* ts."""
-        closed_ts = self.current_ts
-        self.open_epoch()
-        return closed_ts
-
     # ------------------------------------------------------------------
     # write accounting (persist buffer callbacks)
     # ------------------------------------------------------------------

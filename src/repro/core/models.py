@@ -403,7 +403,6 @@ class BufferedPath(BaselinePath):
             engine, config.et_entries, stats, self.scope, core, tracer=tracer,
             journal=journal,
         )
-        self.pb.classify_early = lambda ts: not self.et.is_safe(ts)
         self.pb.on_acked = lambda entry: self.et.on_write_acked(entry.epoch_ts)
         self.et.on_progress = self._on_progress
 
@@ -456,7 +455,8 @@ class BufferedPath(BaselinePath):
         self.et.space_waiter.wait(lambda: self._wait_et_space(done, started))
 
     def on_dfence(self, done: Callable[[], None]) -> None:
-        closed_ts = self.et.close_current()
+        closed_ts = self.et.current_ts
+        self.et.open_epoch()
         started = self.engine.now
 
         def resume() -> None:
@@ -494,7 +494,6 @@ class HOPSPath(BufferedPath):
         self.global_ts = global_ts
         self._polling = False
         self.pb.select_entry = make_conservative_policy(self.et.is_safe)
-        self.pb.classify_early = lambda ts: False  # nothing unsafe ever issues
         self.et.commit_action = self._commit
 
     def _commit(self, entry: EpochEntry) -> None:
@@ -556,6 +555,7 @@ class ASAPPath(BufferedPath):
     ) -> None:
         super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.pb.select_entry = make_eager_policy(self.et.is_safe)
+        self.pb.classify_early = lambda ts: not self.et.is_safe(ts)
         self.pb.on_issue = self._on_issue
         self.pb.on_nacked = self._on_nacked
         self.et.commit_action = self._commit
@@ -623,8 +623,6 @@ class VorpalPath(BufferedPath):
     ) -> None:
         super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.coordinator = coordinator
-        self.pb.select_entry = select_fifo_any
-        self.pb.classify_early = lambda ts: False
         self.et.commit_action = self._commit
         self.vc = [0] * config.num_cores
         self.vc[core] = 1
@@ -666,7 +664,6 @@ class ASAPNoUndoPath(ASAPPath):
     ) -> None:
         super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.pb.classify_early = lambda ts: False
-        self.et.commit_action = self.et.finalize_commit
 
 
 __all__ = [

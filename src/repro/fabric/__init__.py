@@ -19,7 +19,6 @@ from repro.fabric.executor import FabricExecutor
 from repro.fabric.queue import FabricQueue, LeaseInfo
 from repro.fabric.scheduler import FabricJob, FabricScheduler, FabricStalledError
 from repro.fabric.tasks import (
-    FABRIC_SCHEMA_VERSION,
     FabricTaskError,
     TaskEnvelope,
     TaskOutcome,
@@ -30,7 +29,6 @@ from repro.fabric.tasks import (
 from repro.fabric.worker import worker_loop
 
 __all__ = [
-    "FABRIC_SCHEMA_VERSION",
     "FabricExecutor",
     "FabricJob",
     "FabricQueue",

@@ -28,9 +28,6 @@ from typing import Any, Optional, Tuple
 from repro.exp.executors import SerialExecutor
 from repro.exp.spec import Spec, digest, run_specs
 
-#: bump when envelope encoding or dispatch semantics change.
-FABRIC_SCHEMA_VERSION = 3
-
 
 @dataclass(frozen=True)
 class TaskEnvelope:
@@ -87,7 +84,6 @@ def fingerprint_sha(result: Any) -> str:
 
 
 __all__ = [
-    "FABRIC_SCHEMA_VERSION",
     "FabricTaskError",
     "TaskEnvelope",
     "TaskOutcome",

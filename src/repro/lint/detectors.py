@@ -23,11 +23,11 @@ The checks, and the bug class each targets:
   stores no wider than :data:`ATOMIC_PUBLISH_BYTES` are treated as atomic
   publishes (the standard lock-free PM idiom); a race needs at least one
   wider participant.
-- ``epoch-shape`` (PL005, note) -- anti-patterns over the epoch
-  dependency structure of :mod:`repro.verify.dag`: oversized epochs
-  (more dirty lines than a persist buffer can hold open) and
-  self-dependency chains (the same line re-dirtied in consecutive
-  epochs, defeating coalescing and serializing flushes).
+- ``epoch-shape`` (PL005, note) -- anti-patterns over each thread's
+  chain of epochs: oversized epochs (more dirty lines than a persist
+  buffer can hold open) and self-dependency chains (the same line
+  re-dirtied in consecutive epochs, defeating coalescing and
+  serializing flushes).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.core.api import (
 from repro.core.epoch import EpochLog
 from repro.lint.model import Finding, LintConfig, Rule, Severity
 from repro.lint.stream import AnnotatedOp, OpStream, store_lines
-from repro.verify.dag import build_dag
 
 Detector = Callable[[OpStream, LintConfig], Iterator[Finding]]
 
@@ -336,9 +335,8 @@ _EPOCH_SHAPE = Rule(
 def detect_epoch_shape(
     stream: OpStream, config: LintConfig
 ) -> Iterator[Finding]:
-    # Build the static intra-thread epoch structure as an EpochLog and
-    # feed it through repro.verify.dag, exactly as the post-crash
-    # checker would: the DAG gives us the per-strand epoch chains.
+    # Record the static intra-thread epoch structure as an EpochLog:
+    # its max_ts and strand_starts give each thread's epoch chain.
     log = EpochLog()
     write_id = 0
     #: (thread, epoch_ts) -> dirty line set
@@ -363,20 +361,6 @@ def detect_epoch_shape(
                 )
                 lines.add(line)
 
-    dag = build_dag(log)
-    if not dag.is_acyclic():  # unreachable for static streams; keep the
-        # Lemma 0.1 check wired so trace-driven inputs are covered too.
-        for thread_stream in stream.threads:
-            if thread_stream.ops:
-                yield _finding(
-                    _EPOCH_SHAPE,
-                    stream,
-                    thread_stream.ops[0],
-                    thread_stream.thread,
-                    "epoch dependency graph has a cycle",
-                )
-        return
-
     # (a) oversized epochs.
     for key in sorted(epoch_lines):
         lines = epoch_lines[key]
@@ -394,8 +378,8 @@ def detect_epoch_shape(
                 line=min(lines),
             )
 
-    # (b) self-dependency chains, walked along the DAG's intra-thread
-    # successor edges (strand starts break the chain).
+    # (b) self-dependency chains, walked along each thread's epoch chain
+    # (strand starts break the chain).
     for thread_stream in stream.threads:
         core = thread_stream.thread
         max_ts = log.max_ts.get(core, 0)

@@ -140,12 +140,7 @@ def lint_all(
     return reports, sources
 
 
-def all_findings(reports: List[LintReport]) -> List[Finding]:
-    return [f for report in reports for f in report.findings]
-
-
 __all__ = [
-    "all_findings",
     "lint_all",
     "lint_stream",
     "lint_trace",

@@ -54,8 +54,6 @@ class AnnotatedOp:
     strand: int
     #: per-strand epoch timestamp (starts at 1, bumped by each fence).
     epoch_ts: int
-    #: global per-thread epoch ordinal (does not reset across strands).
-    epoch_ordinal: int
     locks_held: FrozenSet[int]
 
 
@@ -89,7 +87,6 @@ def _annotate(thread: int, ops: List[Op]) -> ThreadStream:
     locks: List[int] = []
     strand = 0
     epoch_ts = 1
-    epoch_ordinal = 0
     for index, op in enumerate(ops):
         if isinstance(op, Acquire):
             locks.append(op.lock)
@@ -99,7 +96,6 @@ def _annotate(thread: int, ops: List[Op]) -> ThreadStream:
                 op=op,
                 strand=strand,
                 epoch_ts=epoch_ts,
-                epoch_ordinal=epoch_ordinal,
                 locks_held=frozenset(locks),
             )
         )
@@ -108,11 +104,9 @@ def _annotate(thread: int, ops: List[Op]) -> ThreadStream:
                 locks.remove(op.lock)
         elif isinstance(op, (OFence, DFence)):
             epoch_ts += 1
-            epoch_ordinal += 1
         elif isinstance(op, NewStrand):
             strand += 1
             epoch_ts += 1
-            epoch_ordinal += 1
     return stream
 
 

@@ -44,9 +44,9 @@ _COUNTER_EVENTS = {
 }
 
 
-def _ts_us(cycle: int, freq_ghz: float) -> float:
+def _ts_us(cycle: int) -> float:
     """Simulated cycle -> trace timestamp in microseconds."""
-    return cycle / (freq_ghz * 1000.0)
+    return cycle / (CPU_FREQ_GHZ * 1000.0)
 
 
 def _pid_tid(event: Event) -> tuple:
@@ -70,9 +70,7 @@ def _args(event: Event) -> Dict[str, object]:
     return args
 
 
-def chrome_trace(
-    events: Iterable[Event], freq_ghz: float = CPU_FREQ_GHZ
-) -> Dict[str, object]:
+def chrome_trace(events: Iterable[Event]) -> Dict[str, object]:
     """Build the Chrome-trace JSON object for an event stream."""
     trace: List[Dict[str, object]] = []
     seen_pids: Dict[int, set] = {}
@@ -89,8 +87,8 @@ def chrome_trace(
                 "name": f"stall:{event.reason.value}",
                 "cat": "stall",
                 "ph": "X",
-                "ts": _ts_us(event.cycle - dur, freq_ghz),
-                "dur": _ts_us(dur, freq_ghz) if dur else 0.0,
+                "ts": _ts_us(event.cycle - dur),
+                "dur": _ts_us(dur) if dur else 0.0,
                 "pid": pid,
                 "tid": tid,
                 "args": _args(event),
@@ -105,7 +103,7 @@ def chrome_trace(
                 "name": name,
                 "cat": "occupancy",
                 "ph": "C",
-                "ts": _ts_us(event.cycle, freq_ghz),
+                "ts": _ts_us(event.cycle),
                 "pid": pid,
                 "tid": tid,
                 "args": {"occupancy": event.value},
@@ -116,7 +114,7 @@ def chrome_trace(
                 "cat": event.comp,
                 "ph": "i",
                 "s": "t",
-                "ts": _ts_us(event.cycle, freq_ghz),
+                "ts": _ts_us(event.cycle),
                 "pid": pid,
                 "tid": tid,
                 "args": _args(event),
@@ -153,18 +151,16 @@ def chrome_trace(
     return {
         "traceEvents": meta + trace,
         "displayTimeUnit": "ns",
-        "otherData": {"generator": "repro.obs", "cpu_freq_ghz": freq_ghz},
+        "otherData": {"generator": "repro.obs", "cpu_freq_ghz": CPU_FREQ_GHZ},
     }
 
 
 def write_chrome_trace(
-    events: Iterable[Event],
-    path: Union[str, pathlib.Path],
-    freq_ghz: float = CPU_FREQ_GHZ,
+    events: Iterable[Event], path: Union[str, pathlib.Path]
 ) -> pathlib.Path:
     """Write the Chrome-trace JSON for ``events``; returns the path."""
     path = pathlib.Path(path)
-    path.write_text(json.dumps(chrome_trace(events, freq_ghz), indent=1))
+    path.write_text(json.dumps(chrome_trace(events), indent=1))
     return path
 
 

@@ -4,7 +4,7 @@ The workload generators are expanded *without simulation* -- ops are
 drawn round-robin across threads, which reproduces a deterministic
 approximation of the real interleaving for workloads whose generators
 share mutable state.  Every thread's op number ``n`` belongs to interval
-``n // interval_ops`` (aligned cuts), and each interval is summarized by
+``n // INTERVAL_OPS`` (aligned cuts), and each interval is summarized by
 one vector of persistence-relevant features.  The vectors only steer
 *clustering*; their absolute scale is normalized away in
 :mod:`repro.sample.phases`, so approximate features cost accuracy, not
@@ -14,14 +14,13 @@ correctness -- the golden gate measures the resulting error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.api import (
     Acquire,
     Compute,
     DFence,
     Load,
-    NewStrand,
     OFence,
     PMAllocator,
     Release,
@@ -29,6 +28,10 @@ from repro.core.api import (
 )
 from repro.mem.interleave import CACHE_LINE_BYTES
 from repro.workloads.registry import get_workload
+
+#: ops of each thread per interval -- the unit every sampling window is
+#: cut in (:mod:`repro.sample.pipeline`).
+INTERVAL_OPS = 75
 
 #: the per-interval feature vector, in order.
 FEATURE_NAMES = (
@@ -53,16 +56,10 @@ FEATURE_NAMES = (
 class IntervalSet:
     """Dry-expansion result: per-interval features + per-thread op counts."""
 
-    interval_ops: int
     #: one feature vector (len == len(FEATURE_NAMES)) per interval.
     vectors: List[List[float]]
     #: total ops each thread's generator yields.
     thread_ops: List[int]
-    #: per thread: half-open op-index spans during which the thread holds
-    #: at least one lock.  Sampling windows must not cut into a span --
-    #: executing a Release whose Acquire was skipped (or vice versa)
-    #: corrupts lock state -- so window edges snap to the span's end.
-    locked_spans: List[List[Tuple[int, int]]]
 
     @property
     def num_intervals(self) -> int:
@@ -71,15 +68,6 @@ class IntervalSet:
     @property
     def total_ops(self) -> int:
         return sum(self.thread_ops)
-
-    def snap(self, thread: int, op_index: int) -> int:
-        """Smallest lock-free op index >= ``op_index`` for ``thread``."""
-        for start, end in self.locked_spans[thread]:
-            if start <= op_index < end:
-                return end
-            if start > op_index:
-                break
-        return op_index
 
 
 class _IntervalAccum:
@@ -123,14 +111,11 @@ class _IntervalAccum:
 
 def fingerprint_intervals(
     workload: str,
-    interval_ops: int,
     ops_per_thread: Optional[int] = None,
     num_threads: int = 4,
     seed: int = 7,
 ) -> IntervalSet:
     """Dry-expand ``workload`` and fingerprint its intervals."""
-    if interval_ops < 1:
-        raise ValueError("interval_ops must be positive")
     programs = get_workload(
         workload, ops_per_thread=ops_per_thread, seed=seed
     ).programs(PMAllocator(), num_threads)
@@ -138,9 +123,6 @@ def fingerprint_intervals(
     seen_lines: Set[int] = set()
     pending_stores: Dict[int, int] = {t: 0 for t in range(len(programs))}
     counts = [0] * len(programs)
-    depths = [0] * len(programs)
-    span_start = [0] * len(programs)
-    locked_spans: List[List[Tuple[int, int]]] = [[] for _ in programs]
     alive = list(range(len(programs)))
     while alive:
         still_alive = []
@@ -150,7 +132,7 @@ def fingerprint_intervals(
             except StopIteration:
                 continue
             still_alive.append(thread)
-            index = counts[thread] // interval_ops
+            index = counts[thread] // INTERVAL_OPS
             counts[thread] += 1
             accum = accums.get(index)
             if accum is None:
@@ -184,37 +166,20 @@ def fingerprint_intervals(
                 accum.epoch_stores += pending_stores[thread]
                 accum.epochs += 1
                 pending_stores[thread] = 0
-            elif isinstance(op, Acquire):
+            elif isinstance(op, (Acquire, Release)):
                 accum.locks += 1
-                if depths[thread] == 0:
-                    # the acquire op itself is a safe window start; the
-                    # unsafe span begins just after it.
-                    span_start[thread] = counts[thread]
-                depths[thread] += 1
-            elif isinstance(op, Release):
-                accum.locks += 1
-                depths[thread] -= 1
-                if depths[thread] == 0:
-                    locked_spans[thread].append(
-                        (span_start[thread], counts[thread])
-                    )
-            elif isinstance(op, NewStrand):
-                pass
         alive = still_alive
-    for thread, depth in enumerate(depths):
-        if depth > 0:  # unbalanced program: lock held to the end
-            locked_spans[thread].append((span_start[thread], counts[thread]))
     num_intervals = max(accums) + 1 if accums else 0
     vectors = [
         accums[i].vector() if i in accums else [0.0] * len(FEATURE_NAMES)
         for i in range(num_intervals)
     ]
-    return IntervalSet(
-        interval_ops=interval_ops,
-        vectors=vectors,
-        thread_ops=counts,
-        locked_spans=locked_spans,
-    )
+    return IntervalSet(vectors=vectors, thread_ops=counts)
 
 
-__all__ = ["FEATURE_NAMES", "IntervalSet", "fingerprint_intervals"]
+__all__ = [
+    "FEATURE_NAMES",
+    "INTERVAL_OPS",
+    "IntervalSet",
+    "fingerprint_intervals",
+]

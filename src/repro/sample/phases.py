@@ -19,6 +19,9 @@ from typing import List
 
 import numpy as np
 
+#: k-means iteration bound (iteration stops early once labels settle).
+KMEANS_ITERS = 32
+
 
 @dataclass
 class PhasePlan:
@@ -60,9 +63,7 @@ def _farthest_first(matrix: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(chosen)
 
 
-def cluster_intervals(
-    vectors: List[List[float]], k: int, iters: int = 32
-) -> PhasePlan:
+def cluster_intervals(vectors: List[List[float]], k: int) -> PhasePlan:
     """Cluster interval fingerprints into (at most) ``k`` phases.
 
     Initialization is farthest-first traversal, so clustering needs no
@@ -74,7 +75,7 @@ def cluster_intervals(
     k = max(1, min(k, n))
     centroids = matrix[_farthest_first(matrix, k)]
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         # pairwise distances: (n, k)
         dist = np.linalg.norm(matrix[:, None, :] - centroids[None, :, :],
                               axis=2)

@@ -89,7 +89,8 @@ class TestEpochTableStrands:
         et.on_enqueue(1)
         strand_ts = et.open_epoch(strand_break=True)
         et.on_enqueue(strand_ts)
-        closed = et.close_current()
+        closed = et.current_ts
+        et.open_epoch()
         fired = []
         assert not et.wait_for_commit(closed, lambda: fired.append(1))
         et.on_write_acked(strand_ts)

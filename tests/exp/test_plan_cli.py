@@ -155,14 +155,17 @@ class TestCLI:
              (["litmus", "--fabric", "--chaos-kill", "-1"],
               "at least 0, got -1"),
              (["crash", "queue", "--at", "-5"], "at least 0, got -5"),
+             (["serve", "--port", "70000"], "must be 1 to 65535, got 70000"),
+             (["serve", "--port", "-1"], "must be 1 to 65535, got -1"),
          )],
     )
     def test_unknown_workload_or_worker_count_is_a_usage_error(
         self, capsys, argv, message
     ):
         """The parser rejects an unknown workload name, a worker count
-        below 1 and a negative count or crash cycle before any command
-        runs (exit 2, no traceback from the registry or the executor)."""
+        below 1, a negative count or crash cycle and a port outside
+        1-65535 before any command runs (exit 2, no traceback from the
+        registry, the executor or the socket)."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2

@@ -90,6 +90,16 @@ def test_status_reports_queue_counts(capsys, tmp_path):
     assert doc["stopped"] is True  # the grid run stopped its workers
 
 
+def test_status_of_a_missing_queue_exits_2(capsys, tmp_path):
+    """A path with no queue directory is an error, not an idle queue."""
+    missing = tmp_path / "no-such-queue"
+    assert main(["fabric", "status", "--queue", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"no queue directory at {missing}" in captured.err
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -120,7 +120,7 @@ class TestChromeTraceGolden:
                     core=0, mc=None, epoch=1, line=None,
                     reason=StallReason.DFENCE, dur=2000, kind=None,
                     value=None)
-        doc = chrome_trace([end], freq_ghz=2.0)
+        doc = chrome_trace([end])
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         # 2 GHz => 2000 cycles per microsecond.
         assert slices[0]["ts"] == pytest.approx(1.0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -11,7 +13,7 @@ def test_sample_cli_reports_estimates(capsys, tmp_path):
     out_path = tmp_path / "sample.json"
     code = main([
         "sample", "queue", "--model", "asap_rp", "--ops", "800",
-        "--interval-ops", "50", "--out", str(out_path),
+        "--out", str(out_path),
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -26,7 +28,7 @@ def test_sample_cli_reports_estimates(capsys, tmp_path):
 def test_sample_cli_validate_prints_errors(capsys):
     code = main([
         "sample", "queue", "--model", "baseline", "--ops", "800",
-        "--interval-ops", "50", "--validate",
+        "--validate",
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -35,6 +37,8 @@ def test_sample_cli_validate_prints_errors(capsys):
 
 
 def test_sample_cli_rejects_bad_config(capsys):
-    code = main(["sample", "queue", "--interval-ops", "0"])
-    assert code == 2
-    assert "interval_ops" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "queue", "--clusters", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--clusters" in err and "at least 1, got 0" in err

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.api import Acquire, Release, Store
+from repro.core.machine import PAUSE
 from repro.sample import (
     FEATURE_NAMES,
     SampleConfig,
@@ -11,14 +13,20 @@ from repro.sample import (
     fingerprint_intervals,
     run_sampled,
 )
-from repro.sample.pipeline import _merge_segments
+from repro.sample.pipeline import (
+    _NO_END,
+    _WARM_CHUNK,
+    _WARM_TURN,
+    _merge_segments,
+    _sampled_program,
+)
 
 pytestmark = pytest.mark.sampled
 
 
 def test_fingerprint_shape_and_determinism():
-    a = fingerprint_intervals("queue", 50, ops_per_thread=400)
-    b = fingerprint_intervals("queue", 50, ops_per_thread=400)
+    a = fingerprint_intervals("queue", ops_per_thread=400)
+    b = fingerprint_intervals("queue", ops_per_thread=400)
     assert a.vectors == b.vectors
     assert a.thread_ops == b.thread_ops
     assert all(len(v) == len(FEATURE_NAMES) for v in a.vectors)
@@ -27,7 +35,7 @@ def test_fingerprint_shape_and_determinism():
 
 def test_fingerprint_novelty_decays():
     """First-touch density is highest at the start of the run."""
-    iv = fingerprint_intervals("ctree", 75, ops_per_thread=1000)
+    iv = fingerprint_intervals("ctree", ops_per_thread=1000)
     novelty = FEATURE_NAMES.index("novelty")
     first = iv.vectors[0][novelty]
     steady = sum(v[novelty] for v in iv.vectors[-5:]) / 5
@@ -35,7 +43,7 @@ def test_fingerprint_novelty_decays():
 
 
 def test_cluster_intervals_deterministic_and_complete():
-    iv = fingerprint_intervals("cceh", 75, ops_per_thread=1200)
+    iv = fingerprint_intervals("cceh", ops_per_thread=1200)
     plan_a = cluster_intervals(iv.vectors, 6)
     plan_b = cluster_intervals(iv.vectors, 6)
     assert plan_a.labels == plan_b.labels
@@ -55,22 +63,54 @@ def test_merge_segments():
     assert _merge_segments([(5, 8), (0, 2)]) == [(0, 2), (5, 8)]
 
 
+@pytest.mark.parametrize(
+    "segments",
+    [[(0, 7)], [(7, _NO_END)]],
+    ids=["segment-ends-inside-lock", "segment-starts-inside-lock"],
+)
+def test_skip_wrapper_defers_transitions_until_no_lock_is_held(segments):
+    """One thread: ops 5-8 run with lock 1 held (Acquire is op 4, Release
+    op 8), and both the segment edge 7 and the pause boundary 6 fall
+    there.  The wrapper must move the edge and the pause to the first
+    op index with no lock held, and still yield one pause per boundary
+    when the stream ends before a boundary (100)."""
+    acquire, release = Acquire(1), Release(1)
+    ops = ([Store(64 * i) for i in range(4)] + [acquire]
+           + [Store(64 * i) for i in range(4, 7)] + [release]
+           + [Store(64 * i) for i in range(7, 17)])
+    boundaries = [6, 100]
+    warmed, warm_turns = [], [0]
+    yielded = list(_sampled_program(
+        iter(ops), segments, boundaries, warmed.append, lambda: None,
+        warm_turns,
+    ))
+
+    held = False
+    for item in yielded:
+        if item is acquire:
+            held = True
+        elif item is release:
+            held = False
+        assert not (item is PAUSE and held), "paused inside a lock"
+    executed = [item for item in yielded if item is not PAUSE
+                and item is not _WARM_TURN]
+    assert (acquire in executed) == (release in executed)
+    assert (acquire in warmed) == (release in warmed)
+    assert executed + warmed == ops or warmed + executed == ops
+    assert yielded.count(PAUSE) == len(boundaries)
+    turns = sum(item is _WARM_TURN for item in yielded)
+    assert turns == warm_turns[0] == len(warmed) // _WARM_CHUNK > 0
+
+
 def test_sample_config_validation():
     with pytest.raises(ValueError):
-        SampleConfig(interval_ops=0)
-    with pytest.raises(ValueError):
         SampleConfig(clusters=0)
-    with pytest.raises(ValueError):
-        SampleConfig(tail_intervals=0)
 
 
 def test_run_sampled_small_cell():
     """End-to-end sampled run: estimates exist and are positive where
     the full machine must have done work."""
-    report = run_sampled(
-        "queue", "asap_rp", ops_per_thread=800,
-        config=SampleConfig(interval_ops=50),
-    )
+    report = run_sampled("queue", "asap_rp", ops_per_thread=800)
     assert report.ops_simulated < report.ops_total
     assert report.estimates["cycles"].value > 0
     assert report.estimates["cache_hits"].value > 0
@@ -81,7 +121,6 @@ def test_run_sampled_small_cell():
 
 
 def test_run_sampled_deterministic():
-    cfg = SampleConfig(interval_ops=50)
-    a = run_sampled("queue", "asap_rp", ops_per_thread=600, config=cfg)
-    b = run_sampled("queue", "asap_rp", ops_per_thread=600, config=cfg)
+    a = run_sampled("queue", "asap_rp", ops_per_thread=600)
+    b = run_sampled("queue", "asap_rp", ops_per_thread=600)
     assert a.to_dict() == b.to_dict()
