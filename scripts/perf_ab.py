@@ -20,13 +20,19 @@ every module on every start where ``PYTHONDONTWRITEBYTECODE`` is set,
 and its set-up time reads slower for a reason unrelated to the change.
 
 Each end-to-end metric of ``BENCHMARK.json`` gets one verdict from the
-runs of the two sides:
+runs of the two sides, in the metric's ``better`` direction:
 
-- ``unresolved``: the base's own quartile spread exceeds the metric's
-  bound, so the runs cannot tell a change within the bound from one
-  beyond it -- unless every change run is better than every base run;
+- ``better``: the change wins at least nine tenths of the pairs (pair
+  ``i`` is the ``i``-th base run and the ``i``-th change run; a tie
+  counts for neither) and its median beats the base's by more than the
+  distance between the base's quartiles -- the rule a claimed gain must
+  meet;
+- ``unresolved``: otherwise, when the base's own quartile spread
+  exceeds the metric's bound, so the runs cannot tell a change within
+  the bound from one beyond it -- unless every change run is better
+  than every base run;
 - ``worse``: otherwise, when the change's median is worse than the
-  base's by more than the bound, in the metric's ``better`` direction;
+  base's by more than the bound;
 - ``ok``: otherwise.
 
 It prints one table and exits 1 on any ``worse`` verdict, on any change
@@ -78,6 +84,18 @@ def spread(values: Sequence[float]) -> float:
     return (q3 - q1) / statistics.median(values)
 
 
+def claims_gain(base: Sequence[float], change: Sequence[float],
+                lower_is_better: bool) -> bool:
+    """Whether ``change`` beats ``base`` by the rule a claimed gain must
+    meet: it wins at least nine tenths of the pairs, and its median is
+    better by more than the base's quartile distance."""
+    sign = -1 if lower_is_better else 1
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    q1, _q2, q3 = statistics.quantiles(base, n=4)
+    gain = sign * (statistics.median(change) - statistics.median(base))
+    return wins * 10 >= 9 * len(base) and gain > q3 - q1
+
+
 def failed_share(runs: Sequence[Dict[str, Any]]) -> float:
     attempted = sum(run["attempted"] for run in runs)
     return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
@@ -100,14 +118,17 @@ def judge(
         base_median = statistics.median(base_values)
         change_median = statistics.median(change_values)
         ratio = change_median / base_median
-        if metric["better"] == "lower":
+        lower = metric["better"] == "lower"
+        if lower:
             worsening = ratio - 1
             better_throughout = max(change_values) < min(base_values)
         else:
             worsening = 1 - ratio
             better_throughout = min(change_values) > max(base_values)
         base_spread = spread(base_values)
-        if base_spread > bound and not better_throughout:
+        if claims_gain(base_values, change_values, lower):
+            verdict = "better"
+        elif base_spread > bound and not better_throughout:
             verdict = "unresolved"
         elif worsening > bound:
             verdict = "worse"

@@ -16,8 +16,7 @@ matter for their interaction with the persist path:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.config import CacheConfig
 from repro.sim.engine import ns_to_cycles
@@ -27,11 +26,16 @@ from repro.sim.stats import Counter, StatsRegistry
 class Cache:
     """One set-associative LRU cache level.
 
-    Sets are allocated lazily: workloads touch a tiny fraction of (say)
-    the LLC's 16384 sets, and eagerly building one OrderedDict per set
-    made machine construction a measurable fraction of short runs.  Stat
-    counters are bound on first use -- binding them eagerly would create
-    zero-valued rows in stats.txt that the lazy registry never had.
+    A set is a list of its lines, least recently used first, and the
+    level keeps its dirty lines in one set beside them: a run holds a
+    line in every level it touched, so per-line state is what a run's
+    host memory grows with.  Sets are allocated on first fill, because
+    workloads touch a tiny fraction of (say) the LLC's 16384 sets;
+    probing a line no set holds (a miss, ``mark_dirty``, ``invalidate``
+    or ``in``) allocates nothing, and a set that loses its last line is
+    dropped.  Stat counters are bound on first use -- binding them
+    eagerly would create zero-valued rows in stats.txt that the lazy
+    registry never had.
     """
 
     def __init__(self, config: CacheConfig, stats: StatsRegistry, scope: str) -> None:
@@ -42,28 +46,21 @@ class Cache:
         self.num_sets = config.num_sets
         self.ways = config.ways
         self.line_bytes = config.line_bytes
-        self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
+        self._sets: Dict[int, List[int]] = {}
+        self._dirty: Set[int] = set()
         self._hits: Optional[Counter] = None
         self._misses: Optional[Counter] = None
         self._evictions: Optional[Counter] = None
 
-    def _set_of(self, line: int) -> "OrderedDict[int, bool]":
-        index = (line // self.line_bytes) % self.num_sets
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
-        return cache_set
-
     def lookup(self, line: int, touch: bool = True) -> bool:
         """Return True on hit.  ``touch`` refreshes LRU order."""
-        # _set_of inlined: lookup/fill run on every access of every level.
-        index = (line // self.line_bytes) % self.num_sets
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
-        if line in cache_set:
-            if touch:
-                cache_set.move_to_end(line)
+        # The set index is inlined here and in fill: both run on every
+        # access of every level.
+        cache_set = self._sets.get((line // self.line_bytes) % self.num_sets)
+        if cache_set is not None and line in cache_set:
+            if touch and cache_set[-1] != line:
+                cache_set.remove(line)
+                cache_set.append(line)
             counter = self._hits
             if counter is None:
                 counter = self._hits = self.stats.counter(
@@ -81,38 +78,55 @@ class Cache:
 
     def fill(self, line: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert ``line``; return the evicted ``(line, dirty)`` if any."""
+        if dirty:
+            self._dirty.add(line)
         index = (line // self.line_bytes) % self.num_sets
         cache_set = self._sets.get(index)
         if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
+            self._sets[index] = [line]
+            return None
         if line in cache_set:
-            cache_set[line] = cache_set[line] or dirty
-            cache_set.move_to_end(line)
+            if cache_set[-1] != line:
+                cache_set.remove(line)
+                cache_set.append(line)
             return None
         victim: Optional[Tuple[int, bool]] = None
         if len(cache_set) >= self.ways:
-            victim = cache_set.popitem(last=False)
+            evicted = cache_set.pop(0)
+            dirty_lines = self._dirty
+            if evicted in dirty_lines:
+                dirty_lines.remove(evicted)
+                victim = (evicted, True)
+            else:
+                victim = (evicted, False)
             counter = self._evictions
             if counter is None:
                 counter = self._evictions = self.stats.counter(
                     "cache_evictions", scope=self.scope
                 )
             counter.inc()
-        cache_set[line] = dirty
+        cache_set.append(line)
         return victim
 
     def mark_dirty(self, line: int) -> None:
-        cache_set = self._set_of(line)
-        if line in cache_set:
-            cache_set[line] = True
+        if line in self:
+            self._dirty.add(line)
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line``; return True if it was present."""
-        cache_set = self._set_of(line)
-        return cache_set.pop(line, None) is not None
+        index = (line // self.line_bytes) % self.num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None or line not in cache_set:
+            return False
+        cache_set.remove(line)
+        if not cache_set:
+            del self._sets[index]
+        self._dirty.discard(line)
+        return True
 
     def __contains__(self, line: int) -> bool:
-        return line in self._set_of(line)
+        cache_set = self._sets.get((line // self.line_bytes) % self.num_sets)
+        return cache_set is not None and line in cache_set
 
 
 class CacheHierarchy:

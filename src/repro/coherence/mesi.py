@@ -21,7 +21,6 @@ epoch information.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.sim.stats import StatsRegistry
@@ -37,12 +36,29 @@ class LineState(enum.Enum):
 _NO_CORES: List[int] = []
 
 
-@dataclass(frozen=True)
 class OwnerInfo:
-    """Who last wrote a line, and in which epoch."""
+    """Who last wrote a line, and in which epoch.
 
-    core: int
-    epoch_ts: int
+    A slotted value: one is kept per written line and one is made per
+    store, so it carries no ``__dict__``.  Equal fields mean equal
+    values, with the hash to match."""
+
+    __slots__ = ("core", "epoch_ts")
+
+    def __init__(self, core: int, epoch_ts: int) -> None:
+        self.core = core
+        self.epoch_ts = epoch_ts
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OwnerInfo):
+            return NotImplemented
+        return self.core == other.core and self.epoch_ts == other.epoch_ts
+
+    def __hash__(self) -> int:
+        return hash((self.core, self.epoch_ts))
+
+    def __repr__(self) -> str:
+        return f"OwnerInfo(core={self.core}, epoch_ts={self.epoch_ts})"
 
 
 class Transition:
@@ -78,12 +94,35 @@ class Transition:
         self.cache_to_cache = cache_to_cache
 
 
-@dataclass
+def _cores_of(mask: int) -> List[int]:
+    """The cores of a sharer bitmask, in ascending order."""
+    cores: List[int] = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return cores
+
+
 class _LineEntry:
-    #: core id -> protocol state (absent = Invalid).
-    states: Dict[int, LineState] = field(default_factory=dict)
-    #: (core, epoch_ts) of the most recent writer, for dependence info.
-    last_writer: Optional[OwnerInfo] = None
+    """The directory's record of one line.
+
+    At most one core holds the line in M or E (``owner``, in
+    ``owner_state``); the cores holding it in S are the bits of
+    ``sharers``.  One owner slot makes "two exclusive holders"
+    unrepresentable; an owner beside sharers is what
+    :meth:`MESIDirectory.check_swmr` still catches."""
+
+    __slots__ = ("owner", "owner_state", "sharers", "last_writer")
+
+    def __init__(self) -> None:
+        #: the M or E holder, or None.
+        self.owner: Optional[int] = None
+        self.owner_state = LineState.INVALID
+        #: bit ``c`` set = core ``c`` holds the line in S.
+        self.sharers = 0
+        #: (core, epoch_ts) of the most recent writer, for dependence info.
+        self.last_writer: Optional[OwnerInfo] = None
 
 
 class MESIDirectory:
@@ -97,8 +136,7 @@ class MESIDirectory:
     def _entry(self, line: int) -> _LineEntry:
         entry = self._lines.get(line)
         if entry is None:
-            entry = _LineEntry()
-            self._lines[line] = entry
+            entry = self._lines[line] = _LineEntry()
         return entry
 
     # ------------------------------------------------------------------
@@ -108,61 +146,65 @@ class MESIDirectory:
     def read(self, core: int, line: int) -> Transition:
         """Core issues a read (GetS)."""
         entry = self._entry(line)
-        state = entry.states.get(core, LineState.INVALID)
-        if state in (LineState.MODIFIED, LineState.EXCLUSIVE, LineState.SHARED):
-            # silent hit: no directory interaction
-            return Transition(new_state=state)
+        owner = entry.owner
+        if owner == core:
+            # silent hit (M or E): no directory interaction
+            return Transition(new_state=entry.owner_state)
+        bit = 1 << core
+        if entry.sharers & bit:
+            return Transition(new_state=LineState.SHARED)
 
         downgraded: List[int] = []
         cache_to_cache = False
-        for other, other_state in list(entry.states.items()):
-            if other_state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-                # forward: owner supplies data and downgrades to S
-                entry.states[other] = LineState.SHARED
-                downgraded.append(other)
-                cache_to_cache = True
-                self.stats.inc("mesi_downgrades")
-        if entry.states:
+        if owner is not None:
+            # forward: owner supplies data and downgrades to S
+            entry.owner = None
+            entry.owner_state = LineState.INVALID
+            entry.sharers |= 1 << owner
+            downgraded.append(owner)
+            cache_to_cache = True
+            self.stats.inc("mesi_downgrades")
+        if entry.sharers:
             new_state = LineState.SHARED
+            entry.sharers |= bit
         else:
             new_state = LineState.EXCLUSIVE  # sole copy
-        entry.states[core] = new_state
+            entry.owner = core
+            entry.owner_state = new_state
         self.check_swmr(line)
-        source = entry.last_writer if (
-            entry.last_writer and entry.last_writer.core != core
-        ) else None
+        writer = entry.last_writer
         return Transition(
             new_state=new_state,
             downgraded=downgraded,
-            source=source,
+            source=writer if writer is not None and writer.core != core else None,
             cache_to_cache=cache_to_cache,
         )
 
     def write(self, core: int, line: int, epoch_ts: int) -> Transition:
         """Core issues a write (GetM / upgrade)."""
         entry = self._entry(line)
-        state = entry.states.get(core, LineState.INVALID)
+        owner = entry.owner
         invalidated: List[int] = []
         cache_to_cache = False
-        if state is not LineState.MODIFIED and entry.states:
-            for other, other_state in list(entry.states.items()):
-                if other == core:
-                    continue
-                if other_state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-                    cache_to_cache = True
-                del entry.states[other]
-                invalidated.append(other)
-                self.stats.inc("mesi_invalidations")
-        source = entry.last_writer if (
-            entry.last_writer and entry.last_writer.core != core
-        ) else None
-        entry.states[core] = LineState.MODIFIED
-        entry.last_writer = OwnerInfo(core=core, epoch_ts=epoch_ts)
+        if owner != core or entry.owner_state is not LineState.MODIFIED:
+            # every other copy goes; an M or E one supplies the data.
+            others = entry.sharers & ~(1 << core)
+            if owner is not None and owner != core:
+                others |= 1 << owner
+                cache_to_cache = True
+            if others:
+                invalidated = _cores_of(others)
+                self.stats.inc("mesi_invalidations", len(invalidated))
+        writer = entry.last_writer
+        entry.owner = core
+        entry.owner_state = LineState.MODIFIED
+        entry.sharers = 0
+        entry.last_writer = OwnerInfo(core, epoch_ts)
         self.check_swmr(line)
         return Transition(
             new_state=LineState.MODIFIED,
-            invalidated=sorted(invalidated),
-            source=source,
+            invalidated=invalidated,
+            source=writer if writer is not None and writer.core != core else None,
             cache_to_cache=cache_to_cache,
         )
 
@@ -170,7 +212,11 @@ class MESIDirectory:
         """Core silently drops its copy (capacity eviction)."""
         entry = self._lines.get(line)
         if entry is not None:
-            entry.states.pop(core, None)
+            if entry.owner == core:
+                entry.owner = None
+                entry.owner_state = LineState.INVALID
+            else:
+                entry.sharers &= ~(1 << core)
 
     def update_writer_epoch(self, line: int, core: int, epoch_ts: int) -> None:
         """Re-attribute the newest write to a different epoch.
@@ -181,7 +227,7 @@ class MESIDirectory:
         if entry is not None and entry.last_writer is not None and (
             entry.last_writer.core == core
         ):
-            entry.last_writer = OwnerInfo(core=core, epoch_ts=epoch_ts)
+            entry.last_writer = OwnerInfo(core, epoch_ts)
 
     # ------------------------------------------------------------------
     # queries
@@ -191,45 +237,42 @@ class MESIDirectory:
         entry = self._lines.get(line)
         if entry is None:
             return LineState.INVALID
-        return entry.states.get(core, LineState.INVALID)
+        if entry.owner == core:
+            return entry.owner_state
+        if entry.sharers >> core & 1:
+            return LineState.SHARED
+        return LineState.INVALID
 
     def owner_of(self, line: int) -> Optional[OwnerInfo]:
         entry = self._lines.get(line)
         return entry.last_writer if entry else None
 
     def sharers_of(self, line: int) -> Set[int]:
+        """Every core holding ``line`` in M, E or S."""
         entry = self._lines.get(line)
         if entry is None:
             return set()
-        return {
-            core for core, state in entry.states.items()
-            if state is not LineState.INVALID
-        }
+        holders = set(_cores_of(entry.sharers))
+        if entry.owner is not None:
+            holders.add(entry.owner)
+        return holders
 
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
 
     def check_swmr(self, line: int) -> None:
-        """Single-writer / multiple-reader: an M or E holder is alone."""
+        """Single-writer / multiple-reader: an M or E holder is alone.
+
+        The one owner slot rules out two exclusive holders; this checks
+        that no core shares the line beside the owner."""
         entry = self._lines.get(line)
-        if entry is None or len(entry.states) <= 1:
-            # a lone holder (or none) cannot violate either clause below.
+        if entry is None or entry.owner is None or not entry.sharers:
             return
-        exclusive = [
-            core for core, state in entry.states.items()
-            if state in (LineState.MODIFIED, LineState.EXCLUSIVE)
-        ]
-        if len(exclusive) > 1:
-            raise AssertionError(
-                f"SWMR violated on line {line:#x}: exclusive holders "
-                f"{exclusive}"
-            )
-        if exclusive and len(entry.states) > 1:
-            raise AssertionError(
-                f"SWMR violated on line {line:#x}: holder {exclusive[0]} "
-                f"coexists with {sorted(set(entry.states) - set(exclusive))}"
-            )
+        raise AssertionError(
+            f"SWMR violated on line {line:#x}: holder {entry.owner} "
+            f"coexists with {_cores_of(entry.sharers)}"
+        )
 
 
 __all__ = ["LineState", "MESIDirectory", "OwnerInfo", "Transition"]

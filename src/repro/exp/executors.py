@@ -21,9 +21,7 @@ different wall-clock (see ``tests/exp/test_determinism.py``).
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Protocol, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -86,7 +84,12 @@ class ParallelExecutor:
         # Chunk to amortize per-task IPC, but keep at least ~4 chunks per
         # worker in flight so uneven cell runtimes still balance.
         chunksize = max(1, len(items) // (workers * 4))
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        # Imported here, not at module level: they load multiprocessing,
+        # socket and subprocess, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(workers) as pool:
             try:
                 return list(pool.map(fn, items, chunksize=chunksize))
             except BrokenProcessPool as exc:

@@ -43,7 +43,6 @@ from repro.core.api import (
     Release,
     Store,
 )
-from repro.core.epoch import EpochLog
 from repro.lint.model import Finding, LintConfig, Rule, Severity
 from repro.lint.stream import AnnotatedOp, OpStream, store_lines
 
@@ -335,31 +334,29 @@ _EPOCH_SHAPE = Rule(
 def detect_epoch_shape(
     stream: OpStream, config: LintConfig
 ) -> Iterator[Finding]:
-    # Record the static intra-thread epoch structure as an EpochLog:
-    # its max_ts and strand_starts give each thread's epoch chain.
-    log = EpochLog()
-    write_id = 0
+    # Each thread's epoch chain: its highest epoch, and the epochs that
+    # start a strand (and so have no implicit predecessor).
+    max_ts: Dict[int, int] = {}
+    strand_starts: Set[Tuple[int, int]] = set()
     #: (thread, epoch_ts) -> dirty line set
     epoch_lines: Dict[Tuple[int, int], Set[int]] = {}
     #: (thread, epoch_ts) -> first store op of the epoch
     epoch_anchor: Dict[Tuple[int, int], AnnotatedOp] = {}
     for thread_stream in stream.threads:
+        thread = thread_stream.thread
         prev_strand = 0
         for aop in thread_stream.ops:
             if aop.strand != prev_strand:
-                log.record_strand_start(thread_stream.thread, aop.epoch_ts)
+                strand_starts.add((thread, aop.epoch_ts))
+                max_ts[thread] = max(max_ts.get(thread, 0), aop.epoch_ts)
                 prev_strand = aop.strand
             if not isinstance(aop.op, Store):
                 continue
-            key = (thread_stream.thread, aop.epoch_ts)
+            key = (thread, aop.epoch_ts)
             epoch_anchor.setdefault(key, aop)
             lines = epoch_lines.setdefault(key, set())
-            for line in store_lines(aop.op):
-                write_id += 1
-                log.record_write(
-                    write_id, line, thread_stream.thread, aop.epoch_ts
-                )
-                lines.add(line)
+            lines.update(store_lines(aop.op))
+            max_ts[thread] = max(max_ts.get(thread, 0), aop.epoch_ts)
 
     # (a) oversized epochs.
     for key in sorted(epoch_lines):
@@ -382,12 +379,11 @@ def detect_epoch_shape(
     # (strand starts break the chain).
     for thread_stream in stream.threads:
         core = thread_stream.thread
-        max_ts = log.max_ts.get(core, 0)
         flagged: Set[int] = set()
         run: Dict[int, int] = {}  # line -> run length ending here
-        for ts in range(1, max_ts + 1):
+        for ts in range(1, max_ts.get(core, 0) + 1):
             lines = epoch_lines.get((core, ts), set())
-            chained = ts > 1 and (core, ts) not in log.strand_starts
+            chained = ts > 1 and (core, ts) not in strand_starts
             new_run: Dict[int, int] = {}
             for line in lines:
                 length = run.get(line, 0) + 1 if chained else 1

@@ -15,14 +15,15 @@ from repro.sim.config import CACHE_LINE_BYTES
 class AddressMap:
     """Maps byte addresses to cache lines and cache lines to controllers.
 
-    Both decompositions are memoized: workloads touch a bounded set of
-    addresses millions of times, so the arithmetic runs once per distinct
-    ``(addr, size)`` / ``line``.  The list :meth:`lines_of` returns is the
-    cached object itself -- callers must treat it as read-only.
+    :meth:`lines_of` is memoized: workloads touch a bounded set of
+    addresses millions of times, so its list is built once per distinct
+    ``(addr, size)``, and the list it returns is the cached object
+    itself -- callers must treat it as read-only.  :meth:`mc_of_line`
+    is not: its arithmetic costs about what a dict probe does, and a
+    memo would hold one entry per line the run touches.
     """
 
-    __slots__ = ("num_mcs", "interleave_bytes", "line_bytes",
-                 "_lines_memo", "_mc_memo")
+    __slots__ = ("num_mcs", "interleave_bytes", "line_bytes", "_lines_memo")
 
     def __init__(
         self,
@@ -38,7 +39,6 @@ class AddressMap:
         self.interleave_bytes = interleave_bytes
         self.line_bytes = line_bytes
         self._lines_memo: dict = {}
-        self._mc_memo: dict = {}
 
     def line_of(self, addr: int) -> int:
         """Cache-line address (aligned) containing byte ``addr``."""
@@ -65,11 +65,7 @@ class AddressMap:
 
     def mc_of_line(self, line: int) -> int:
         """Index of the memory controller owning cache line ``line``."""
-        mc = self._mc_memo.get(line)
-        if mc is None:
-            mc = (line // self.interleave_bytes) % self.num_mcs
-            self._mc_memo[line] = mc
-        return mc
+        return (line // self.interleave_bytes) % self.num_mcs
 
 
 __all__ = ["AddressMap"]

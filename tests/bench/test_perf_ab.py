@@ -19,9 +19,13 @@ END_TO_END = [
 ]
 
 
-def _runs(setup_s=(0.2,) * 5, throughput=(100.0,) * 5, correct=True,
-          attempted=40, failed=0):
-    """Five run documents in ``perfbench/run.py``'s last-line shape."""
+def _runs(setup_s=None, throughput=None, correct=True, attempted=40,
+          failed=0):
+    """Run documents in ``perfbench/run.py``'s last-line shape: as many
+    as the values given, else five."""
+    count = len(setup_s or throughput or ()) or 5
+    setup_s = setup_s or (0.2,) * count
+    throughput = throughput or (100.0,) * count
     return [
         {
             "correct": correct,
@@ -60,7 +64,40 @@ def test_throughput_drop_beyond_bound_with_tight_spread_is_worse():
 def test_gain_is_not_a_regression():
     rows, problems = perf_ab.judge(
         "grid", END_TO_END, _runs(), _runs(throughput=(140.0,) * 5))
+    assert _verdicts(rows)["throughput"] == "better"
+    assert problems == []
+
+
+#: ten base throughputs: median 100, quartiles 97.5 / 102.5.
+BASE_TEN = (95.0, 96.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 104.0, 105.0)
+
+
+def test_gain_in_eight_of_ten_pairs_is_only_ok():
+    """A median gain beyond the spread still needs nine winning pairs;
+    the two unchanged pairs are ties, which count for neither side."""
+    change = tuple(b + 20.0 for b in BASE_TEN[:8]) + BASE_TEN[8:]
+    rows, problems = perf_ab.judge(
+        "grid", END_TO_END, _runs(throughput=BASE_TEN),
+        _runs(throughput=change))
     assert _verdicts(rows)["throughput"] == "ok"
+    assert problems == []
+    # a ninth win makes it a claimed gain
+    change = tuple(b + 20.0 for b in BASE_TEN[:9]) + BASE_TEN[9:]
+    rows, _ = perf_ab.judge("grid", END_TO_END, _runs(throughput=BASE_TEN),
+                            _runs(throughput=change))
+    assert _verdicts(rows)["throughput"] == "better"
+
+
+def test_gain_inside_the_base_spread_is_only_ok():
+    """Ten winning pairs whose median gain (3) is within the base's
+    quartile distance (5) do not claim a gain."""
+    change = tuple(b + 3.0 for b in BASE_TEN)
+    rows, problems = perf_ab.judge(
+        "grid", END_TO_END, _runs(throughput=BASE_TEN),
+        _runs(throughput=change))
+    row = next(row for row in rows if row.metric == "throughput")
+    assert row.verdict == "ok"
+    assert round(row.spread, 6) == 0.05
     assert problems == []
 
 
