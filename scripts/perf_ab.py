@@ -35,10 +35,19 @@ runs of the two sides, in the metric's ``better`` direction:
   base's by more than the bound;
 - ``ok``: otherwise.
 
+After each run it reads the identity ``digest`` of that run's batches
+from the tree's ``perfbench/results/<workload>-seed7-trace0.json`` and
+keeps it with the run document.  Per workload it then reports whether
+every base and change run shares one digest (``same``) or not
+(``differs``).  A speed-only change must read ``same`` everywhere
+(``perfbench/README.md``); a semantic change moves the digest
+legitimately, so ``differs`` is a report, not a failure.
+
 It prints one table and exits 1 on any ``worse`` verdict, on any change
 run that reports ``correct: false``, or when the change fails a larger
-share of its attempted operations than the base.  The run documents and
-the table are also saved to ``perfbench/results/perf_ab.json``.
+share of its attempted operations than the base.  The run documents,
+the table and the digest report are also saved to
+``perfbench/results/perf_ab.json``.
 """
 
 from __future__ import annotations
@@ -150,6 +159,14 @@ def judge(
     return rows, problems
 
 
+def digest_report(base: Sequence[Dict[str, Any]],
+                  change: Sequence[Dict[str, Any]]) -> str:
+    """``same`` when every run of both sides has one identity digest,
+    else ``differs``."""
+    digests = {run["digest"] for run in (*base, *change)}
+    return "same" if len(digests) == 1 else "differs"
+
+
 def render(rows: Sequence[Row]) -> str:
     lines = [f"{'workload':<12} {'metric':<12} {'base':>11} {'change':>11} "
              f"{'ratio':>6} {'spread':>7} {'bound':>6}  verdict"]
@@ -183,7 +200,8 @@ def fill_bytecode_cache(tree: str, env: Dict[str, str]) -> None:
 
 def run_once(tree: str, workload: str,
              env: Dict[str, str]) -> Dict[str, Any]:
-    """One benchmark run in ``tree``; its last-line JSON document."""
+    """One benchmark run in ``tree``: its last-line JSON document, with
+    the identity ``digest`` from the run's full result document."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(SECONDS)],
@@ -192,7 +210,12 @@ def run_once(tree: str, workload: str,
     if done.returncode != 0:
         sys.exit(f"perf_ab: {workload} in {tree} exited {done.returncode}:"
                  f"\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    doc: Dict[str, Any] = json.loads(done.stdout.strip().splitlines()[-1])
+    result = os.path.join(tree, "perfbench", "results",
+                          f"{workload}-seed{SEED}-trace0.json")
+    with open(result, encoding="utf-8") as fh:
+        doc["digest"] = json.load(fh)["digest"]
+    return doc
 
 
 def git(*args: str) -> "subprocess.CompletedProcess[str]":
@@ -246,22 +269,28 @@ def main(argv: Sequence[str]) -> int:
 
     rows: List[Row] = []
     problems: List[str] = []
+    digests: Dict[str, str] = {}
     for workload in workloads:
         workload_rows, workload_problems = judge(
             workload, benchmark["end_to_end"], runs[workload]["base"],
             runs[workload]["change"])
         rows += workload_rows
         problems += workload_problems
+        digests[workload] = digest_report(runs[workload]["base"],
+                                          runs[workload]["change"])
     print(f"\nbase {base_rev} vs this tree: medians of {PAIRS} runs of "
           f"{SECONDS} s each, seed {SEED}; spread is the base's")
     print(render(rows))
+    print("identity digests: " + ", ".join(
+        f"{workload} {report}" for workload, report in digests.items()))
     results = os.path.join(ROOT, "perfbench", "results")
     os.makedirs(results, exist_ok=True)
     with open(os.path.join(results, "perf_ab.json"), "w",
               encoding="utf-8") as fh:
         json.dump({"base_rev": base_rev, "runs": runs,
                    "rows": [row._asdict() for row in rows],
-                   "problems": problems}, fh, indent=1, sort_keys=True)
+                   "digests": digests, "problems": problems},
+                  fh, indent=1, sort_keys=True)
     for problem in problems:
         print(f"FAIL {problem}")
     return 1 if problems else 0

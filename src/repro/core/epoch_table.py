@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventType
 from repro.obs.tracer import Tracer
-from repro.sim.engine import Engine, Waiter  # noqa: F401  (Engine in API)
+from repro.sim.engine import Engine, Waiter, weak_method
 from repro.sim.stats import StatsRegistry
 from repro.core.epoch import EpochEntry, EpochId
 
@@ -54,6 +54,11 @@ class EpochTable:
         self._committed_sparse: set = set()
         self._strand_counter = 0
         self.entries[1] = EpochEntry(ts=1, prev=None, strand=0)
+        #: first timestamp of every strand, ascending.  A strand is a
+        #: contiguous run of timestamps that commits in order, which is
+        #: what lets the conservative flush policy skip the rest of a
+        #: strand after an unsafe epoch (:mod:`repro.core.persist_buffer`).
+        self.strand_starts: List[int] = [1]
         #: optional :class:`repro.obs.Tracer`; None = tracing off.
         self.tracer = tracer
         #: crash journal (:func:`repro.core.crash.record_run`) or None;
@@ -65,8 +70,12 @@ class EpochTable:
         # Wired by the hardware model:
         #: perform the model-specific commit action for a ready epoch
         #: (send MC commit messages for ASAP, publish the global TS for
-        #: HOPS, ...).  Must eventually call :meth:`finalize_commit`.
-        self.commit_action: Callable[[EpochEntry], None] = self.finalize_commit
+        #: HOPS, ...).  Must eventually call :meth:`finalize_commit`,
+        #: which the default does at once (held weakly: a table holding
+        #: its own bound method would be a reference cycle).
+        self.commit_action: Callable[[EpochEntry], None] = weak_method(
+            self.finalize_commit
+        )
         #: deliver a CDR message to a dependent epoch (model transport).
         self.send_cdr: Callable[[EpochId], None] = lambda dep: None
         #: notification hook fired whenever safety may have changed
@@ -101,6 +110,7 @@ class EpochTable:
             entry = EpochEntry(
                 ts=self.current_ts, prev=None, strand=self._strand_counter
             )
+            self.strand_starts.append(self.current_ts)
         else:
             entry = EpochEntry(
                 ts=self.current_ts, prev=old.ts, strand=old.strand

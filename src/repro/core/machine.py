@@ -26,7 +26,7 @@ pair is recorded in the epoch log as a DAG edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional
 
 from repro.obs.events import EventType
 from repro.obs.tracer import Tracer
@@ -36,7 +36,7 @@ from repro.sim.config import (
     PersistencyModel,
     RunConfig,
 )
-from repro.sim.engine import CPU_FREQ_GHZ, Engine, ns_to_cycles
+from repro.sim.engine import CPU_FREQ_GHZ, Engine, ns_to_cycles, weak_method
 from repro.sim.stats import StatsRegistry
 from repro.mem.controller import (
     CommitMessage,
@@ -65,6 +65,7 @@ from repro.core.api import (
 )
 from repro.core.epoch import EpochId, EpochLog
 from repro.core.epoch_table import GlobalTSRegister
+from repro.core.persist_buffer import PBEntry
 from repro.core.models import (
     ASAPNoUndoPath,
     ASAPPath,
@@ -116,14 +117,17 @@ class _Lock:
 
 
 class _CoreUnit:
-    """Drives one thread program through the event engine."""
+    """Drives one thread program through the event engine.
 
-    __slots__ = ("machine", "index", "program", "finished", "finish_time",
-                 "ops_executed", "parked", "park_time",
-                 "_tracer", "_dispatch", "ofence_counter", "dfence_counter")
+    The machine owns its cores, so a core reaches the machine only
+    through weak hooks (:func:`~repro.sim.engine.weak_method`)."""
+
+    __slots__ = ("index", "program", "finished", "finish_time",
+                 "ops_executed", "parked", "park_time", "_engine", "_path",
+                 "_tracer", "_dispatch", "_park", "ofence_counter",
+                 "dfence_counter")
 
     def __init__(self, machine: "Machine", index: int, program: Program) -> None:
-        self.machine = machine
         self.index = index
         self.program = program
         self.finished = False
@@ -137,14 +141,17 @@ class _CoreUnit:
         # Snapshot the hot collaborators: cores are built after the
         # machine is assembled, so `advance` pays one local load instead of
         # two attribute chains per retired op.
+        self._engine = machine.engine
+        self._path = machine.paths[index]
         self._tracer = machine.tracer
-        self._dispatch = machine.dispatch
+        self._dispatch = weak_method(machine.dispatch)
+        self._park = weak_method(machine._park)
         #: per-core fence counters, bound on first fence (see Machine).
         self.ofence_counter = None
         self.dfence_counter = None
 
     def start(self) -> None:
-        self.machine.engine.schedule(0, self.advance)
+        self._engine.schedule(0, self.advance)
 
     def advance(self) -> None:
         try:
@@ -153,25 +160,25 @@ class _CoreUnit:
             self._end()
             return
         if op is PAUSE:
-            self.machine._park(self)
+            self._park(self)
             return
         self.ops_executed += 1
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(
                 EventType.OP_RETIRED, "core", core=self.index,
-                kind=self.machine._op_names.get(type(op)),
+                kind=Machine._op_names.get(type(op)),
             )
         self._dispatch(self, op)
 
     def _end(self) -> None:
-        path = self.machine.paths[self.index]
+        engine = self._engine
 
         def done() -> None:
             self.finished = True
-            self.finish_time = self.machine.engine.now
+            self.finish_time = engine.now
 
-        path.on_program_end(done)
+        self._path.on_program_end(done)
 
 
 @dataclass
@@ -197,7 +204,18 @@ class RunResult:
 
 
 class Machine:
-    """A full simulated system for one (hardware, persistency) pair."""
+    """A full simulated system for one (hardware, persistency) pair.
+
+    The machine owns every component, and no component holds it (or
+    anything that owns the component) strongly: a hook that calls back
+    upward goes through :func:`~repro.sim.engine.weak_method`, a
+    downward one captures the collaborators it uses, and the op table
+    is the class's.  Only pending work -- events queued on the engine,
+    continuations a stalled component holds -- refers to the machine, so
+    once a run drains, reference counting frees the machine with its
+    caches, directory, controllers and recovery tables the moment its
+    caller drops it.
+    """
 
     def __init__(
         self,
@@ -253,23 +271,6 @@ class Machine:
         self._build_controllers(hardware)
         self._build_paths(hardware)
         self._build_caches()
-        #: exact op type -> handler (see :meth:`dispatch`); a CAS times
-        #: exactly like the store it performs.
-        self._op_handlers: Dict[type, Callable[[_CoreUnit, Op], None]] = {
-            Store: self._do_store,
-            CAS: self._do_store,
-            Load: self._do_load,
-            Compute: self._do_compute,
-            OFence: self._do_ofence,
-            DFence: self._do_dfence,
-            Acquire: self._do_acquire,
-            Release: self._do_release,
-            NewStrand: self._do_new_strand,
-        }
-        #: op type -> the ``kind`` its OP_RETIRED event reports.
-        self._op_names: Dict[type, str] = {
-            cls: cls.__name__.lower() for cls in self._op_handlers
-        }
         self.cores: List[_CoreUnit] = []
 
     # ------------------------------------------------------------------
@@ -309,7 +310,7 @@ class Machine:
                 tracer=self.tracer,
                 journal=self.journal,
             )
-            mc.respond = self._route_response
+            mc.respond = weak_method(self._route_response)
             mc.vorpal = self.vorpal
             self.mcs.append(mc)
             self.recovery_tables.append(rt)
@@ -323,9 +324,9 @@ class Machine:
         journal = self.journal
         for core in range(self.config.num_cores):
             transport = Transport(
-                flush=self._make_flush_sender(core),
-                commit=self._send_commit,
-                cdr=self._send_cdr,
+                flush=weak_method(self._send_flush, core),
+                commit=weak_method(self._send_commit),
+                cdr=weak_method(self._send_cdr),
                 mc_of=self.amap.mc_of_line,
             )
             if hardware is HardwareModel.BASELINE:
@@ -376,9 +377,9 @@ class Machine:
                 l1=Cache(self.config.l1, self.stats, scope=f"{scope}.l1"),
                 l2=Cache(self.config.l2, self.stats, scope=f"{scope}.l2"),
                 llc=self.llc,
-                memory_latency=self._demand_read_latency,
+                memory_latency=weak_method(self._demand_read_latency),
                 on_private_eviction=self._make_private_eviction(core),
-                on_llc_eviction=self._llc_eviction,
+                on_llc_eviction=weak_method(self._llc_eviction),
             )
             self.hierarchies.append(hierarchy)
             path = self.paths[core]
@@ -389,25 +390,34 @@ class Machine:
         self.stats.inc("pm_demand_reads")
         return self._mem_read_cycles
 
+    # The two hooks below capture the collaborators they use, never the
+    # machine.
+
     def _make_private_eviction(self, core: int) -> Callable[[int, bool], None]:
+        directory = self.directory
+        path = self.paths[core]
+        wbb = self.wbbs[core]
+
         def on_evict(line: int, dirty: bool) -> None:
             # The core's copy leaves the private caches: drop its MESI
             # state so the next access issues a real directory request.
-            self.directory.evict(core, line)
+            directory.evict(core, line)
             # Section V-F: an eviction of a line whose writes are still in
             # the persist buffer is held in the write-back buffer.
-            path = self.paths[core]
             if dirty and path.has_persist_buffer and path.pb.contains_line(line):
                 seqs = [e.seq for e in path.pb.entries if e.line == line]
-                self.wbbs[core].hold(line, max(seqs))
+                wbb.hold(line, max(seqs))
 
         return on_evict
 
     def _make_head_advance(self, core: int) -> Callable[[int], None]:
+        wbb = self.wbbs[core]
+        stats = self.stats
+
         def on_advance(oldest_seq: int) -> None:
-            released = self.wbbs[core].release_upto(oldest_seq - 1)
+            released = wbb.release_upto(oldest_seq - 1)
             if released:
-                self.stats.inc("wbb_released", len(released), scope=f"core{core}")
+                stats.inc("wbb_released", len(released), scope=f"core{core}")
 
         return on_advance
 
@@ -423,23 +433,20 @@ class Machine:
     # interconnect
     # ------------------------------------------------------------------
 
-    def _make_flush_sender(self, core: int):
-        def send(entry) -> None:
-            packet = FlushPacket(
-                line=entry.line,
-                write_id=entry.write_id,
-                core=core,
-                epoch_ts=entry.epoch_ts,
-                early=entry.issued_early,
-                entry=entry,
-            )
-            mc = self.mcs[self.amap.mc_of_line(entry.line)]
-            # Table II: flush = 60 ns -- the PB -> MC transit of the packet.
-            self.engine.schedule(
-                self._flush_transit_cycles, lambda: mc.receive_flush(packet)
-            )
-
-        return send
+    def _send_flush(self, core: int, entry: PBEntry) -> None:
+        packet = FlushPacket(
+            line=entry.line,
+            write_id=entry.write_id,
+            core=core,
+            epoch_ts=entry.epoch_ts,
+            early=entry.issued_early,
+            entry=entry,
+        )
+        mc = self.mcs[self.amap.mc_of_line(entry.line)]
+        # Table II: flush = 60 ns -- the PB -> MC transit of the packet.
+        self.engine.schedule(
+            self._flush_transit_cycles, lambda: mc.receive_flush(packet)
+        )
 
     def _route_response(self, response: FlushResponse) -> None:
         packet = response.packet
@@ -576,7 +583,7 @@ class Machine:
             handler = self._op_handlers[type(op)]
         except KeyError:
             raise TypeError(f"unknown op: {op!r}") from None
-        handler(core, op)
+        handler(self, core, op)
 
     def _do_compute(self, core: _CoreUnit, op: Compute) -> None:
         self.engine.schedule(max(1, op.cycles), core.advance)
@@ -750,6 +757,25 @@ class Machine:
             self.engine.schedule(self._lock_cycles, core.advance)
 
         path.on_release_boundary(released)
+
+    #: exact op type -> handler (see :meth:`dispatch`); a CAS times
+    #: exactly like the store it performs.  The class's, so the machine
+    #: holds no bound method of itself.
+    _op_handlers: ClassVar[Dict[type, Callable[..., None]]] = {
+        Store: _do_store,
+        CAS: _do_store,
+        Load: _do_load,
+        Compute: _do_compute,
+        OFence: _do_ofence,
+        DFence: _do_dfence,
+        Acquire: _do_acquire,
+        Release: _do_release,
+        NewStrand: _do_new_strand,
+    }
+    #: op type -> the ``kind`` its OP_RETIRED event reports.
+    _op_names: ClassVar[Dict[type, str]] = {
+        cls: cls.__name__.lower() for cls in _op_handlers
+    }
 
     # ------------------------------------------------------------------
     # running

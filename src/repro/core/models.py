@@ -38,7 +38,7 @@ from repro.sim.config import (
     PersistencyModel,
     RunConfig,
 )
-from repro.sim.engine import Engine, ns_to_cycles
+from repro.sim.engine import Engine, ns_to_cycles, weak_method
 from repro.sim.stats import StatsRegistry
 from repro.core.epoch import EpochEntry, EpochId
 from repro.core.epoch_table import EpochTable, GlobalTSRegister
@@ -146,7 +146,10 @@ def resolve_model(model: Union[str, ModelSpec]) -> ModelSpec:
 
 @dataclass
 class Transport:
-    """Machine-provided message plumbing for a path."""
+    """Machine-provided message plumbing for a path.
+
+    The machine owns the path, so each hook holds the machine weakly
+    (:func:`~repro.sim.engine.weak_method`)."""
 
     #: send a flush packet for a PB entry (machine adds NoC latency and
     #: routes the MC's response back to the PB).
@@ -354,13 +357,22 @@ class BaselinePath(PersistencePath):
             return
         epoch = self._ts
         started = self._stall_begin(reason, epoch)
+        self._wait_drained(done, reason, epoch, started)
+
+    def _wait_drained(
+        self, done: Callable[[], None], reason: StallReason, epoch: int,
+        started: int,
+    ) -> None:
+        """Run ``done`` once the buffer is empty at a wake-up.  Each wait
+        registers a fresh closure: one that registered itself again
+        would refer to itself, a cycle holding ``done``."""
 
         def finish() -> None:
             if self.pb.empty:
                 self._stall_end(reason, epoch, started)
                 done()
             else:
-                self.pb.drain_waiter.wait(finish)
+                self._wait_drained(done, reason, epoch, started)
 
         self.pb.drain_waiter.wait(finish)
 
@@ -390,7 +402,9 @@ class BufferedPath(BaselinePath):
     """Shared machinery for the epoch-table designs (HOPS and ASAP).
 
     The persist buffer and its store path are the baseline's; the epoch
-    table replaces the baseline's fence drains with epoch ordering."""
+    table replaces the baseline's fence drains with epoch ordering.  The
+    path owns its buffer and table: a buffer hook into the table
+    captures the table, and a hook into the path holds it weakly."""
 
     tracks_dependencies = True
 
@@ -403,8 +417,9 @@ class BufferedPath(BaselinePath):
             engine, config.et_entries, stats, self.scope, core, tracer=tracer,
             journal=journal,
         )
-        self.pb.on_acked = lambda entry: self.et.on_write_acked(entry.epoch_ts)
-        self.et.on_progress = self._on_progress
+        et = self.et
+        self.pb.on_acked = lambda entry: et.on_write_acked(entry.epoch_ts)
+        et.on_progress = weak_method(self._on_progress)
 
     # epoch numbering is delegated to the epoch table ----------------------
 
@@ -493,8 +508,8 @@ class HOPSPath(BufferedPath):
         super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.global_ts = global_ts
         self._polling = False
-        self.pb.select_entry = make_conservative_policy(self.et.is_safe)
-        self.et.commit_action = self._commit
+        self.pb.select_entry = make_conservative_policy(self.et)
+        self.et.commit_action = weak_method(self._commit)
 
     def _commit(self, entry: EpochEntry) -> None:
         self.et.finalize_commit(entry)
@@ -554,11 +569,12 @@ class ASAPPath(BufferedPath):
         tracer: Optional[Tracer] = None, journal: Optional[list] = None,
     ) -> None:
         super().__init__(engine, config, stats, core, transport, tracer, journal)
-        self.pb.select_entry = make_eager_policy(self.et.is_safe)
-        self.pb.classify_early = lambda ts: not self.et.is_safe(ts)
-        self.pb.on_issue = self._on_issue
-        self.pb.on_nacked = self._on_nacked
-        self.et.commit_action = self._commit
+        is_safe = self.et.is_safe
+        self.pb.select_entry = make_eager_policy(is_safe)
+        self.pb.classify_early = lambda ts: not is_safe(ts)
+        self.pb.on_issue = weak_method(self._on_issue)
+        self.pb.on_nacked = weak_method(self._on_nacked)
+        self.et.commit_action = weak_method(self._commit)
         self.et.send_cdr = transport.cdr
 
     def on_new_strand(self, done: Callable[[], None]) -> bool:
@@ -623,7 +639,7 @@ class VorpalPath(BufferedPath):
     ) -> None:
         super().__init__(engine, config, stats, core, transport, tracer, journal)
         self.coordinator = coordinator
-        self.et.commit_action = self._commit
+        self.et.commit_action = weak_method(self._commit)
         self.vc = [0] * config.num_cores
         self.vc[core] = 1
         coordinator.register_epoch(core, 1, tuple(self.vc))

@@ -25,12 +25,16 @@ distribution.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.events import EventType, StallReason
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine, Waiter
 from repro.sim.stats import StatsRegistry
+
+if TYPE_CHECKING:
+    from repro.core.epoch_table import EpochTable
 
 
 class PBEntryState(enum.Enum):
@@ -373,17 +377,32 @@ def select_fifo_any(pb: PersistBuffer) -> Optional[PBEntry]:
 
 
 def make_conservative_policy(
-    is_safe: Callable[[int], bool],
+    table: EpochTable,
 ) -> Callable[[PersistBuffer], Optional[PBEntry]]:
-    """HOPS policy (and ASAP's NACK fallback): oldest waiting entry whose
-    epoch is safe.  Nothing flushes from unsafe epochs."""
+    """HOPS policy: oldest waiting entry whose epoch is safe.  Nothing
+    flushes from unsafe epochs.
+
+    Entries are in epoch order, and a strand is a contiguous run of
+    timestamps that commits in order, so once an epoch is unsafe every
+    later epoch of its strand is too: the scan skips to the next
+    strand's first epoch, and stops when there is none (a HOPS table
+    holds one strand)."""
+    is_safe = table.is_safe
+    strand_starts = table.strand_starts
 
     def select(pb: PersistBuffer) -> Optional[PBEntry]:
+        skip_below = 0
+        inflight = PBEntryState.INFLIGHT
         for entry in pb.entries:
-            if entry.state is PBEntryState.INFLIGHT:
+            ts = entry.epoch_ts
+            if ts < skip_below or entry.state is inflight:
                 continue
-            if is_safe(entry.epoch_ts):
+            if is_safe(ts):
                 return entry
+            later = bisect_right(strand_starts, ts)
+            if later == len(strand_starts):
+                return None
+            skip_below = strand_starts[later]
         return None
 
     return select

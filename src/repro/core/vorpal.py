@@ -37,6 +37,8 @@ TAG_BITS_PER_ENTRY = 32
 
 @dataclass
 class _QueuedWrite:
+    #: the controller the write arrived at (it admits the write).
+    mc: MemoryController
     packet: FlushPacket
     releasing: bool = False
 
@@ -61,7 +63,11 @@ class VorpalCoordinator:
         self._durable: List[int] = [0] * num_cores
         #: the controllers' (stale) view, refreshed by broadcasts.
         self._published: List[int] = [0] * num_cores
-        self._queues: Dict[MemoryController, List[_QueuedWrite]] = {}
+        #: controller index -> its ordering queue.  Keyed by index, not
+        #: by controller: a controller holds the coordinator, so only a
+        #: queued write refers back to its controller, and a drained
+        #: machine holds no cycle through here.
+        self._queues: Dict[int, List[_QueuedWrite]] = {}
         self._broadcast_scheduled = False
 
     # ------------------------------------------------------------------
@@ -93,13 +99,13 @@ class VorpalCoordinator:
 
     def enqueue(self, mc: MemoryController, packet: FlushPacket) -> None:
         """A flush arrived; hold it until its ordering is provably safe."""
-        queue = self._queues.setdefault(mc, [])
-        queue.append(_QueuedWrite(packet=packet))
+        queue = self._queues.setdefault(mc.index, [])
+        queue.append(_QueuedWrite(mc=mc, packet=packet))
         occupancy = self.stats.weighted(
             "vorpal_queue_occupancy", 256, scope=mc.scope
         )
         occupancy.update(self.engine.now, len(queue))
-        self._scan(mc)
+        self._scan(queue)
         self._ensure_broadcast()
 
     def _eligible(self, packet: FlushPacket) -> bool:
@@ -113,22 +119,21 @@ class VorpalCoordinator:
                 return False
         return True
 
-    def _scan(self, mc: MemoryController) -> None:
+    def _scan(self, queue: List[_QueuedWrite]) -> None:
         """Release every eligible write, FIFO, respecting WPQ space."""
-        queue = self._queues.get(mc, [])
         for item in list(queue):
             if item.releasing:
                 continue
             if self._eligible(item.packet):
                 item.releasing = True
-                self._release(mc, item)
+                self._release(queue, item)
 
-    def _release(self, mc: MemoryController, item: _QueuedWrite) -> None:
-        """Admit the write to ``mc``'s WPQ; it leaves the ordering queue
-        once admitted."""
+    def _release(self, queue: List[_QueuedWrite], item: _QueuedWrite) -> None:
+        """Admit the write to its controller's WPQ; it leaves the ordering
+        queue once admitted."""
+        mc = item.mc
 
         def leave_queue() -> None:
-            queue = self._queues[mc]
             queue.remove(item)
             self.stats.weighted(
                 "vorpal_queue_occupancy", 256, scope=mc.scope
@@ -150,10 +155,10 @@ class VorpalCoordinator:
         self._broadcast_scheduled = False
         self.stats.inc("vorpal_broadcasts")
         self._published = list(self._durable)
-        for mc in list(self._queues):
-            self._scan(mc)
+        for queue in list(self._queues.values()):
+            self._scan(queue)
         # keep broadcasting while any write is waiting or views are stale
-        if any(self._queues.get(mc) for mc in self._queues) or (
+        if any(self._queues.values()) or (
             self._published != self._durable
         ):
             self._ensure_broadcast()

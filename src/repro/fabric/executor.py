@@ -9,7 +9,9 @@ replacement: same campaign document bytes, different execution
 substrate.  Any other map function is a ``TypeError``.
 
 Each ``map()`` call spins a scheduler up, runs the batch, and tears the
-pool down -- the campaign-CLI shape.  To multiplex many batches onto one
+pool down -- the campaign-CLI shape.  The scheduler's ``submit`` writes
+the batch's tasks before it spawns the workers, so none of them starts
+on an empty queue.  To multiplex many batches onto one
 long-lived pool (the ``repro serve`` shape), pass a
 :class:`~repro.fabric.scheduler.FabricScheduler` itself as the executor.
 
@@ -51,15 +53,18 @@ class FabricExecutor:
         items = list(items)
         if not items:
             return []
-        with FabricScheduler(
+        scheduler = FabricScheduler(
             jobs=self.jobs,
             queue_dir=self._queue_dir,
             stream_path=self._stream_path,
             chaos_kill_after=self._chaos_kill_after,
-        ) as scheduler:
+        )
+        try:
             results = scheduler.map(fn, items)
             self.last_counters = scheduler.counters_snapshot()
             return results
+        finally:
+            scheduler.close()
 
     def __repr__(self) -> str:
         return f"FabricExecutor(jobs={self.jobs})"

@@ -237,12 +237,15 @@ class FabricScheduler:
     # -- submission ---------------------------------------------------------
 
     def submit(self, envelopes: Sequence[TaskEnvelope]) -> FabricJob:
-        """Persist ``envelopes`` and return a handle on their results.
+        """Persist ``envelopes``, start the pool if it is not running,
+        and return a handle on their results.
 
         Content-identical envelopes (within or across jobs) collapse
-        onto one task; every position still receives its result.
+        onto one task; every position still receives its result.  The
+        tasks are on disk before a worker is spawned, so a fresh
+        worker's first claim finds one instead of sleeping a poll
+        interval on an empty queue.
         """
-        self.start()
         with self._lock:
             self._job_seq += 1
             job = FabricJob(
@@ -262,6 +265,7 @@ class FabricScheduler:
             self.counters["jobs_submitted"] += 1
             self._jobs.append(job)
             self._refresh_jobs_locked()
+        self.start()
         return job
 
     def map(

@@ -22,7 +22,9 @@ Scheduling returns nothing: once queued, a callback fires.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+import weakref
+from types import MethodType
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Simulated core frequency (Table II: 2 GHz).
 CPU_FREQ_GHZ = 2.0
@@ -195,4 +197,25 @@ class Waiter:
         return len(self._waiters)
 
 
-__all__ = ["CPU_FREQ_GHZ", "Engine", "Waiter", "ns_to_cycles"]
+def weak_method(method: MethodType, *bound: Any) -> Callable[..., Any]:
+    """The bound ``method`` as a hook that does not keep its object alive.
+
+    A component calls back into the object that owns it (a core into its
+    machine, an epoch table into its persistence path) through a hook.
+    A hook holding its owner strongly would close a reference cycle, and
+    only the cyclic collector frees a cycle, so a finished machine --
+    caches, directory, controllers and all -- would outlive its run.
+    The hook calls ``method`` with ``bound`` before its own arguments.
+    It must not be called once its object is gone, which cannot happen
+    while the object owns, directly or not, whatever holds the hook.
+    """
+    func = method.__func__
+    ref = weakref.ref(method.__self__)
+
+    def call(*args: Any) -> Any:
+        return func(ref(), *bound, *args)
+
+    return call
+
+
+__all__ = ["CPU_FREQ_GHZ", "Engine", "Waiter", "ns_to_cycles", "weak_method"]

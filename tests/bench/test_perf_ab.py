@@ -183,3 +183,51 @@ def test_each_side_gets_its_own_filled_bytecode_cache(tmp_path, monkeypatch):
             name.startswith("mod.") and name.endswith(".pyc")
             for name in cached), cached
         assert not list(tree.rglob("__pycache__"))
+
+
+def _with_digests(runs, *digests):
+    for run, digest in zip(runs, digests):
+        run["digest"] = digest
+    return runs
+
+
+def test_digest_report_is_same_only_when_every_run_agrees():
+    base = _with_digests(_runs(), *["d1"] * 5)
+    assert perf_ab.digest_report(
+        base, _with_digests(_runs(), *["d1"] * 5)) == "same"
+    assert perf_ab.digest_report(
+        base, _with_digests(_runs(), "d1", "d1", "d2", "d1", "d1")
+    ) == "differs"
+    assert perf_ab.digest_report(
+        _with_digests(_runs(), "d0", *["d1"] * 4),
+        _with_digests(_runs(), *["d1"] * 5)) == "differs"
+
+
+def test_differing_digests_are_a_report_not_a_failure():
+    """A semantic change moves the digest legitimately: the gate's
+    verdicts and problems read the metrics alone."""
+    rows, problems = perf_ab.judge(
+        "grid", END_TO_END, _with_digests(_runs(), *["d1"] * 5),
+        _with_digests(_runs(), *["d2"] * 5))
+    assert set(_verdicts(rows).values()) == {"ok"}
+    assert problems == []
+
+
+def test_run_once_keeps_the_digest_of_the_run(tmp_path):
+    """The digest comes from the run's full result document, which the
+    last-line summary does not carry."""
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, os\n"
+        "results = os.path.join(os.path.dirname(__file__), 'results')\n"
+        "os.makedirs(results, exist_ok=True)\n"
+        "path = os.path.join(results, 'grid-seed7-trace0.json')\n"
+        "with open(path, 'w') as fh:\n"
+        "    json.dump({'digest': 'abc123', 'correct': True}, fh)\n"
+        "print('perfbench grid')\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,"
+        " 'metrics': {}}))\n")
+    doc = perf_ab.run_once(str(tmp_path), "grid", dict(os.environ))
+    assert doc["digest"] == "abc123"
+    assert doc["correct"] is True

@@ -12,6 +12,15 @@ from repro.core.persist_buffer import (
 )
 
 
+class OneStrand:
+    """The epoch-table surface the conservative policy reads: one strand
+    from timestamp 1 (a HOPS table) and a safety predicate."""
+
+    def __init__(self, is_safe):
+        self.is_safe = is_safe
+        self.strand_starts = [1]
+
+
 @pytest.fixture
 def pb(engine, stats):
     buffer = PersistBuffer(
@@ -150,7 +159,9 @@ class TestPolicies:
     def test_conservative_only_safe_epochs(self, engine, stats):
         safe = {1}
         pb = PersistBuffer(engine, 8, 1, stats, "c", 0)
-        pb.select_entry = make_conservative_policy(lambda ts: ts in safe)
+        pb.select_entry = make_conservative_policy(
+            OneStrand(lambda ts: ts in safe)
+        )
         sent = []
         pb.send_flush = sent.append
         pb.enqueue(0, 1, epoch_ts=1)
@@ -212,7 +223,9 @@ class TestBlockedAccounting:
         """A waiting entry whose epoch is unsafe counts as blocked time."""
         safe = set()
         pb = PersistBuffer(engine, 8, 1, stats, "c0", 0)
-        pb.select_entry = make_conservative_policy(lambda ts: ts in safe)
+        pb.select_entry = make_conservative_policy(
+            OneStrand(lambda ts: ts in safe)
+        )
         pb.send_flush = lambda e: None
         pb.enqueue(0, 1, epoch_ts=2)  # unsafe -> blocked from now on
         engine.schedule(100, lambda: (safe.add(2), pb.reassess()))
@@ -230,7 +243,7 @@ class TestBlockedAccounting:
 
     def test_finish_closes_open_interval(self, engine, stats):
         pb = PersistBuffer(engine, 8, 1, stats, "c0", 0)
-        pb.select_entry = make_conservative_policy(lambda ts: False)
+        pb.select_entry = make_conservative_policy(OneStrand(lambda ts: False))
         pb.enqueue(0, 1, epoch_ts=1)
         engine.schedule(50, lambda: None)
         engine.run()

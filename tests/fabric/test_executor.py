@@ -93,3 +93,23 @@ def test_every_spec_type_is_one_spec_task_addressed_by_its_key():
         assert (env.task_id, env.payload, env.label) == (
             spec.key(), spec, spec.label()
         )
+
+
+def test_ephemeral_map_writes_its_tasks_before_spawning_workers(monkeypatch):
+    """Every task of an ephemeral map is on disk when each worker is
+    spawned, so no worker's first claim finds an empty queue and sleeps
+    a poll interval."""
+    on_disk = []
+    spawn = FabricScheduler._spawn_worker
+
+    def recording_spawn(self, respawned=False):
+        on_disk.append(len(self.queue.task_ids()))
+        spawn(self, respawned)
+
+    monkeypatch.setattr(FabricScheduler, "_spawn_worker", recording_spawn)
+    specs = [RunSpec("queue", "baseline", ops_per_thread=6),
+             RunSpec("nstore", "baseline", ops_per_thread=6),
+             RunSpec("queue", "asap_rp", ops_per_thread=6)]
+    results = FabricExecutor(jobs=2).map(execute_spec, specs)
+    assert len(results) == len(specs)
+    assert on_disk == [len(specs), len(specs)]
